@@ -276,7 +276,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = TrainConfig(
         step_size=args.step,
         epochs=args.epochs,
-        seed=args.seed,
         loss=loss_cfg,
         aux_weight=args.aux_weight,
         atlas=atlas,
@@ -289,7 +288,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = os.path.join(args.out, "model.json")
     trace_path = os.path.join(args.out, "trace.csv")
     save_model(trained, model_path, training={
-        "epochs": args.epochs, "step_size": args.step, "seed": args.seed,
+        "epochs": args.epochs, "step_size": args.step,
         "aux_weight": args.aux_weight, "weights": loss_cfg.weights,
     })
     save_trace_csv(trace, trace_path)
@@ -326,13 +325,35 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    pred_files = _volume_files(args.pred)
-    gt_files = _volume_files(args.gt)
-    if len(pred_files) != len(gt_files):
+def _case_id(path: str) -> str:
+    """File stem without its _pred, _label or _image role suffix."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    for suffix in ("_pred", "_label", "_image"):
+        if stem.endswith(suffix):
+            return stem[: -len(suffix)]
+    return stem
+
+
+def _eval_pairs(pred_path: str, gt_path: str) -> list[tuple[str, str]]:
+    """(prediction, ground truth) files matched by case id; two files pair directly."""
+    pred_files = _volume_files(pred_path)
+    gt_files = _volume_files(gt_path)
+    if not os.path.isdir(pred_path) and not os.path.isdir(gt_path):
+        return [(pred_files[0], gt_files[0])]
+    preds = {_case_id(f): f for f in pred_files}
+    gts = {_case_id(f): f for f in gt_files}
+    if len(preds) < len(pred_files) or len(gts) < len(gt_files):
+        raise UsageError("two volumes in one input share a case id")
+    if preds.keys() != gts.keys():
         raise UsageError(
-            f"{len(pred_files)} prediction volumes vs {len(gt_files)} ground-truth volumes"
+            f"case ids without a partner in predictions and ground truth: "
+            f"{sorted(preds.keys() ^ gts.keys())}"
         )
+    return [(preds[_case_id(g)], g) for g in gt_files]
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    pairs = _eval_pairs(args.pred, args.gt)
     os.makedirs(args.out, exist_ok=True)
 
     def run(pair: tuple[str, str]) -> str:
@@ -348,9 +369,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             fh.write("\n")
         return out_path
 
-    outputs = _pmap(run, list(zip(pred_files, gt_files)), args.jobs)
+    outputs = _pmap(run, pairs, args.jobs)
     _write_manifest(
-        args.out, "eval", _params(args), _hash_volumes(pred_files + gt_files), outputs
+        args.out, "eval", _params(args), _hash_volumes([f for pair in pairs for f in pair]),
+        outputs,
     )
     return 0
 
@@ -381,7 +403,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("prep", help="reorient/resample/embed volumes into a fixed FOV")
+    p = sub.add_parser("prep", help="resample/embed volumes into a fixed FOV")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--spacing", default="2.0", help="target spacing (mm)")
@@ -434,7 +456,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--loss-config", dest="loss_config")
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--step", type=float, default=DEFAULT_STEP_SIZE)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--aux-weight", type=float, default=0.0)
     p.add_argument("--test-data", dest="test_data",

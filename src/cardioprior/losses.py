@@ -28,24 +28,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss
-from .stats import MASS_EPSILON, ShapeStats, aggregate, case_descriptor
+from .stats import (
+    MASS_EPSILON,
+    PAIRS,
+    TRIPLES,
+    ShapeStats,
+    SoftMoments,
+    case_descriptor,
+    relation_geometry,
+)
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3, one_hot
 
 #: Probability floor inside the cross-entropy log.
 CE_CLAMP = 1e-12
 
-#: Centroid segments shorter than this (mm) contribute no relation term.
-SEGMENT_MIN_MM = 1e-6
+#: Loss components: name -> (module-level function name, its weight keys).
+#: The function is looked up by name at call time, so a wrapper installed
+#: on the module attribute sees every call.
+COMPONENTS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "gdice_ce": ("gdice_ce", ("gdice", "ce")),
+    "volume": ("volume_loss", ("volume",)),
+    "moment": ("moment_loss", ("moment_centroid", "moment_second")),
+    "relation": ("relation_loss", ("relation_dist", "relation_angle")),
+}
 
-WEIGHT_KEYS = (
-    "gdice",
-    "ce",
-    "volume",
-    "moment_centroid",
-    "moment_second",
-    "relation_dist",
-    "relation_angle",
-)
+WEIGHT_KEYS = tuple(k for _, keys in COMPONENTS.values() for k in keys)
 
 
 def default_weights() -> dict[str, float]:
@@ -101,10 +108,6 @@ class LossEval:
     value: float
     grad: np.ndarray | None
     terms: dict[str, float]
-
-    @property
-    def grad_p(self) -> np.ndarray | None:
-        return self.grad
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -225,25 +228,23 @@ def moment_loss(
     """
     w1 = cfg.weights["moment_centroid"]
     w2 = cfg.weights["moment_second"]
-    P = p.data.reshape(N_CLASSES, -1)
-    C = p.world_coordinates().reshape(3, -1)
-    mass = P.sum(axis=1)
+    mom = SoftMoments(
+        p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)], cfg.mass_epsilon
+    )
+    if not mom.present.any():
+        raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
     terms: dict[str, float] = {}
     value = 0.0
     grad = np.zeros_like(p.data) if need_grad else None
     grad_flat = grad.reshape(N_CLASSES, -1) if grad is not None else None
-    any_scored = False
     for c in FOREGROUND_CLASSES:
         name = CLASS_NAMES[c]
-        if int(stats.class_n[c]) == 0 or mass[c] < cfg.mass_epsilon:
+        if not mom.present[c]:
             terms[f"moment_centroid_{name}"] = 0.0
             terms[f"moment_second_{name}"] = 0.0
             continue
-        any_scored = True
-        m = C @ P[c] / mass[c]
-        d = C - m[:, None]
-        M = (d * P[c]) @ d.T / mass[c]
-        dm = m - stats.centroid_mean[c]
+        d, M = mom.second_moment(c)
+        dm = mom.centroid[c] - stats.centroid_mean[c]
         dM = M - stats.second_moment_mean[c]
         t1 = w1 * float(dm @ dm)
         t2 = w2 * float((dM * dM).sum())
@@ -251,46 +252,10 @@ def moment_loss(
         terms[f"moment_second_{name}"] = t2
         value += t1 + t2
         if grad_flat is not None:
-            grad_flat[c] += (2.0 * w1 / mass[c]) * (dm @ d)
+            grad_flat[c] += (2.0 * w1 / mom.mass[c]) * (dm @ d)
             quad = (d * (dM @ d)).sum(axis=0)  # d^T (M - Mbar) d per voxel
-            grad_flat[c] += (2.0 * w2 / mass[c]) * (quad - float((dM * M).sum()))
-    if not any_scored:
-        raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
+            grad_flat[c] += (2.0 * w2 / mom.mass[c]) * (quad - float((dM * M).sum()))
     return LossEval(value=float(value), grad=grad, terms=terms)
-
-
-def _relation_indices() -> tuple[np.ndarray, np.ndarray]:
-    pairs = [
-        (i, j)
-        for n, i in enumerate(FOREGROUND_CLASSES)
-        for j in FOREGROUND_CLASSES[n + 1:]
-    ]
-    triples = []
-    for j in FOREGROUND_CLASSES:
-        rest = [c for c in FOREGROUND_CLASSES if c != j]
-        for n, i in enumerate(rest):
-            triples.extend((i, j, k) for k in rest[n + 1:])
-    return np.asarray(pairs, dtype=np.intp), np.asarray(triples, dtype=np.intp)
-
-
-_PAIRS, _TRIPLES = _relation_indices()  # 21 pairs, 105 vertex-ordered triples
-
-
-def _aligned_relation_stats(stats: ShapeStats) -> tuple[np.ndarray, ...]:
-    """Pair/triple means and stds gathered into arrays aligned with _PAIRS/_TRIPLES."""
-    p_mean = np.full(len(_PAIRS), np.nan)
-    p_std = np.zeros(len(_PAIRS))
-    for t, (i, j) in enumerate(_PAIRS):
-        e = stats.pair_stats.get((int(i), int(j)))
-        if e is not None:
-            p_mean[t], p_std[t] = e[0], e[1]
-    t_mean = np.full(len(_TRIPLES), np.nan)
-    t_std = np.zeros(len(_TRIPLES))
-    for t, (i, j, k) in enumerate(_TRIPLES):
-        e = stats.triple_stats.get((int(i), int(j), int(k)))
-        if e is not None:
-            t_mean[t], t_std[t] = e[0], e[1]
-    return p_mean, p_std, t_mean, t_std
 
 
 def relation_loss(
@@ -304,56 +269,41 @@ def relation_loss(
 
     L = w_d sum_pairs ((d_ij - dbar)/s)^2 + w_a sum_triples ((cos - cbar)/s)^2
     over soft centroids. Pairs/triples with zero reference std, missing
-    stats, or segments shorter than 1e-6 mm are skipped. The gradient chains
-    through the centroids via dm_c/dp_c(x) = (x - m_c)/mass_c.
+    stats, or segments shorter than stats.MIN_SEGMENT_MM are skipped. The
+    gradient chains through the centroids via dm_c/dp_c(x) = (x - m_c)/mass_c.
     """
     w_d = cfg.weights["relation_dist"]
     w_a = cfg.weights["relation_angle"]
-    P = p.data.reshape(N_CLASSES, -1)
-    C = p.world_coordinates().reshape(3, -1)
-    mass = P.sum(axis=1)
-    usable = np.zeros(N_CLASSES, dtype=bool)
-    for c in FOREGROUND_CLASSES:
-        usable[c] = mass[c] >= cfg.mass_epsilon and stats.class_usable(c)
-    if int(usable.sum()) < 2:
+    mom = SoftMoments(
+        p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)], cfg.mass_epsilon
+    )
+    if int(mom.present.sum()) < 2:
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
 
-    m = np.zeros((N_CLASSES, 3))
-    for c in FOREGROUND_CLASSES:
-        if usable[c]:
-            m[c] = C @ P[c] / mass[c]
-    p_mean, p_std, t_mean, t_std = _aligned_relation_stats(stats)
+    seg, length, cos = relation_geometry(mom.centroid)
+    p_mean, p_std, t_mean, t_std = stats.relation_arrays()
     G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
     dist_val = 0.0
     angle_val = 0.0
 
     if w_d > 0.0:
-        I, J = _PAIRS[:, 0], _PAIRS[:, 1]
-        dvec = m[I] - m[J]
-        d = np.linalg.norm(dvec, axis=1)
-        ok = usable[I] & usable[J] & (p_std > 0.0) & np.isfinite(p_mean) & (d >= SEGMENT_MIN_MM)
+        I, J = PAIRS.T
+        ok = np.isfinite(length[I, J]) & (p_std > 0.0) & np.isfinite(p_mean)
         if ok.any():
-            z = (d[ok] - p_mean[ok]) / p_std[ok]
+            I, J = I[ok], J[ok]
+            dvec, d = seg[I, J], length[I, J]
+            z = (d - p_mean[ok]) / p_std[ok]
             dist_val = w_d * float(z @ z)
             if need_grad:
-                coef = 2.0 * w_d * z / (p_std[ok] * d[ok])
-                np.add.at(G, I[ok], coef[:, None] * dvec[ok])
-                np.add.at(G, J[ok], -coef[:, None] * dvec[ok])
+                coef = 2.0 * w_d * z / (p_std[ok] * d)
+                np.add.at(G, I, coef[:, None] * dvec)
+                np.add.at(G, J, -coef[:, None] * dvec)
 
     if w_a > 0.0:
-        I, J, K = _TRIPLES[:, 0], _TRIPLES[:, 1], _TRIPLES[:, 2]
-        u = m[I] - m[J]
-        v = m[K] - m[J]
-        nu = np.linalg.norm(u, axis=1)
-        nv = np.linalg.norm(v, axis=1)
-        ok = (
-            usable[I] & usable[J] & usable[K]
-            & (t_std > 0.0) & np.isfinite(t_mean)
-            & (nu >= SEGMENT_MIN_MM) & (nv >= SEGMENT_MIN_MM)
-        )
+        ok = np.isfinite(cos) & (t_std > 0.0) & np.isfinite(t_mean)
         if ok.any():
-            u, v, nu, nv = u[ok], v[ok], nu[ok], nv[ok]
-            cos = (u * v).sum(axis=1) / (nu * nv)
+            I, J, K = TRIPLES[ok].T
+            u, v, nu, nv, cos = seg[I, J], seg[K, J], length[I, J], length[K, J], cos[ok]
             z = (cos - t_mean[ok]) / t_std[ok]
             angle_val = w_a * float(z @ z)
             if need_grad:
@@ -361,20 +311,26 @@ def relation_loss(
                 dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
                 dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
                 coef = (2.0 * w_a * z / t_std[ok])[:, None]
-                np.add.at(G, I[ok], coef * dc_du)
-                np.add.at(G, K[ok], coef * dc_dv)
-                np.add.at(G, J[ok], -coef * (dc_du + dc_dv))
+                np.add.at(G, I, coef * dc_du)
+                np.add.at(G, K, coef * dc_dv)
+                np.add.at(G, J, -coef * (dc_du + dc_dv))
 
     grad = None
     if need_grad:
         grad = np.zeros_like(p.data)
         grad_flat = grad.reshape(N_CLASSES, -1)
         for c in FOREGROUND_CLASSES:
-            if usable[c] and G[c].any():
-                grad_flat[c] = (G[c] @ C - G[c] @ m[c]) / mass[c]
+            if mom.present[c] and G[c].any():
+                grad_flat[c] = (G[c] @ mom.coords - G[c] @ mom.centroid[c]) / mom.mass[c]
     value = dist_val + angle_val
     terms = {"relation_dist": dist_val, "relation_angle": angle_val}
     return LossEval(value=float(value), grad=grad, terms=terms)
+
+
+def _component(name: str, p: ProbVolume, g: ProbVolume, cfg: LossConfig, need_grad: bool):
+    """Evaluate one COMPONENTS entry through its module-level function."""
+    fn = globals()[COMPONENTS[name][0]]
+    return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad)
 
 
 def total_loss(
@@ -399,30 +355,16 @@ def total_loss(
     terms: dict[str, float] = {}
     grad_p = np.zeros_like(p.data) if need_grad else None
 
-    def _accumulate(ev: LossEval) -> None:
-        nonlocal value, grad_p
+    enabled = [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
+    regularized = tuple(n for n in enabled if n != "gdice_ce")
+    if regularized and cfg.stats is None:
+        raise NoUsableStats(f"cfg.stats required for enabled components {regularized}")
+    for name in enabled:
+        ev = _component(name, p, g, cfg, need_grad)
         value += ev.value
         terms.update(ev.terms)
         if grad_p is not None:
             grad_p += ev.grad
-
-    if w["gdice"] > 0.0 or w["ce"] > 0.0:
-        _accumulate(gdice_ce(p, g, cfg, need_grad=need_grad))
-    regularized = (
-        ("volume",) if w["volume"] > 0.0 else ()
-    ) + (
-        ("moment",) if w["moment_centroid"] > 0.0 or w["moment_second"] > 0.0 else ()
-    ) + (
-        ("relation",) if w["relation_dist"] > 0.0 or w["relation_angle"] > 0.0 else ()
-    )
-    if regularized and cfg.stats is None:
-        raise NoUsableStats(f"cfg.stats required for enabled components {regularized}")
-    if "volume" in regularized:
-        _accumulate(volume_loss(p, cfg.stats, cfg, need_grad=need_grad))
-    if "moment" in regularized:
-        _accumulate(moment_loss(p, cfg.stats, cfg, need_grad=need_grad))
-    if "relation" in regularized:
-        _accumulate(relation_loss(p, cfg.stats, cfg, need_grad=need_grad))
 
     grad = None
     if need_grad:
@@ -434,19 +376,7 @@ def total_loss(
 # Finite-difference verification
 
 
-_LOSS_ALIASES = {
-    "gdice_ce": "gdice_ce",
-    "volume": "volume",
-    "volume_loss": "volume",
-    "moment": "moment",
-    "moment_loss": "moment",
-    "relation": "relation",
-    "relation_loss": "relation",
-    "total": "total",
-    "total_loss": "total",
-}
-
-GRADCHECK_LOSSES = ("gdice_ce", "volume", "moment", "relation", "total")
+GRADCHECK_LOSSES = (*COMPONENTS, "total")
 
 
 def _gradcheck_instance(size: int, seed: int, name: str = "gdice_ce"):
@@ -547,22 +477,15 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
     Relative error uses denominator max(|analytic|, |fd|, 1e-8). Returns a
     JSON-ready report with the max errors and their entry location.
     """
-    name = _LOSS_ALIASES.get(loss_name)
-    if name is None:
+    if loss_name not in GRADCHECK_LOSSES:
         raise UnknownLoss(f"unknown loss {loss_name!r}; known: {GRADCHECK_LOSSES}")
-    logits, p, g = _gradcheck_instance(size, seed, name)
-    stats, weights = _gradcheck_stats(name, p)
+    logits, p, g = _gradcheck_instance(size, seed, loss_name)
+    stats, weights = _gradcheck_stats(loss_name, p)
     cfg = LossConfig(weights=weights, stats=stats)
-    if name == "gdice_ce":
-        x, f = p.data, lambda ng: gdice_ce(p, g, cfg, need_grad=ng)
-    elif name == "volume":
-        x, f = p.data, lambda ng: volume_loss(p, stats, cfg, need_grad=ng)
-    elif name == "moment":
-        x, f = p.data, lambda ng: moment_loss(p, stats, cfg, need_grad=ng)
-    elif name == "relation":
-        x, f = p.data, lambda ng: relation_loss(p, stats, cfg, need_grad=ng)
-    else:
+    if loss_name == "total":
         x, f = logits, lambda ng: total_loss(logits, g, cfg, need_grad=ng)
+    else:
+        x, f = p.data, lambda ng: _component(loss_name, p, g, cfg, ng)
 
     full = f(True)
     analytic = full.grad
@@ -581,7 +504,7 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
     rel_err = abs_err / np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-8)
     worst = int(np.argmax(rel_err))
     return {
-        "loss": name,
+        "loss": loss_name,
         "size": size,
         "seed": seed,
         "step": step,

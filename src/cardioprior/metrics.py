@@ -77,9 +77,18 @@ def surface_voxels(labels: Volume3, c: int) -> np.ndarray:
 
 
 def surface_distances(
-    pred: Volume3, gt: Volume3, c: int, spacing: tuple[float, float, float] | None = None
-) -> tuple[float, float]:
-    """HD and ASSD (mm) between the class-c surfaces, distance-transform route."""
+    pred: Volume3,
+    gt: Volume3,
+    c: int,
+    spacing: tuple[float, float, float] | None = None,
+    *,
+    with_hd95: bool = False,
+) -> tuple[float, ...]:
+    """HD and ASSD (mm) between the class-c surfaces, distance-transform route.
+
+    ``with_hd95`` appends the optional robust variant, the max of the
+    directed 95th percentiles, taken from the same distance arrays.
+    """
     _require_same_grid(pred, gt)
     sp = tuple(float(s) for s in (spacing if spacing is not None else pred.spacing))
     sp_mask = _surface_mask(pred, c)
@@ -93,7 +102,9 @@ def surface_distances(
     d_gp = dt_p[sg_mask]
     hd = max(float(d_pg.max()), float(d_gp.max()))
     assd = (float(d_pg.sum()) + float(d_gp.sum())) / (n_p + n_g)
-    return hd, assd
+    if not with_hd95:
+        return hd, assd
+    return hd, assd, max(float(np.percentile(d_pg, 95.0)), float(np.percentile(d_gp, 95.0)))
 
 
 def surface_distances_bruteforce(
@@ -112,18 +123,6 @@ def surface_distances_bruteforce(
     hd = max(float(d_pg.max()), float(d_gp.max()))
     assd = (float(d_pg.sum()) + float(d_gp.sum())) / (a.shape[0] + b.shape[0])
     return hd, assd
-
-
-def _hd95(pred: Volume3, gt: Volume3, c: int, sp: tuple) -> float:
-    """Optional robust variant: max of the directed 95th percentiles."""
-    sp_mask = _surface_mask(pred, c)
-    sg_mask = _surface_mask(gt, c)
-    dt_g = ndimage.distance_transform_edt(~sg_mask, sampling=sp)
-    dt_p = ndimage.distance_transform_edt(~sp_mask, sampling=sp)
-    return max(
-        float(np.percentile(dt_g[sp_mask], 95.0)),
-        float(np.percentile(dt_p[sg_mask], 95.0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -188,9 +187,10 @@ def evaluate_case(
         dice, jaccard = overlap(pred, gt, c)
         hd = assd = hd95 = None
         if n_p > 0 and n_g > 0:
-            hd, assd = surface_distances(pred, gt, c, sp)
             if include_hd95:
-                hd95 = _hd95(pred, gt, c, sp)
+                hd, assd, hd95 = surface_distances(pred, gt, c, sp, with_hd95=True)
+            else:
+                hd, assd = surface_distances(pred, gt, c, sp)
         per_class[c] = ClassMetrics(dice, jaccard, hd, assd, n_g, n_p, hd95)
 
     macro: dict[str, float | None] = {}

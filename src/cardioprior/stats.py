@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,16 +31,58 @@ from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume
 #: quantities are reported absent instead of risking near-zero denominators.
 MASS_EPSILON = 1e-6
 
-#: Centroid segments shorter than this (mm) yield no distance/cosine entry.
-MIN_SEGMENT_MM = 1e-9
+#: Centroid segments shorter than this (mm) yield no distance or cosine, in
+#: the descriptors and in the relation loss alike.
+MIN_SEGMENT_MM = 1e-6
 
 PairKey = tuple[int, int]
 TripleKey = tuple[int, int, int]  # (i, j, k): angle at vertex j, i < k
 
 
+class SoftMoments:
+    """The soft-moment kernel: one centroid pass over a probability volume.
+
+    ``mass`` (8,), ``centroid`` (8, 3) and ``present`` (8,) are indexed by
+    class id. A class is present, with a finite centroid, when it is in
+    ``classes`` and its mass reaches the floor. ``second_moment(c)`` is the
+    second pass for one class. Both passes use centred two-pass arithmetic
+    (the mean first, then the covariance of the centred coordinates), which
+    keeps the moments accurate however far the grid sits from the origin.
+    """
+
+    def __init__(self, p: ProbVolume, classes=range(N_CLASSES),
+                 mass_epsilon: float = MASS_EPSILON) -> None:
+        self._p = p
+        self.probs = p.data.reshape(N_CLASSES, -1)
+        self.mass = self.probs.sum(axis=1)
+        self.centroid = np.full((N_CLASSES, 3), np.nan)
+        for c in classes:
+            if self.mass[c] >= mass_epsilon:
+                self.centroid[c] = self.coords @ self.probs[c] / self.mass[c]
+        self.present = np.isfinite(self.centroid[:, 0])
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """World coordinates of the voxel centres, (3, N) mm."""
+        return self._p.world_coordinates().reshape(3, -1)
+
+    def second_moment(self, c: int) -> tuple[np.ndarray, np.ndarray]:
+        """Centred coordinates (3, N) and central second moment (3, 3) of class c."""
+        d = self.coords - self.centroid[c][:, None]
+        M = (d * self.probs[c]) @ d.T / self.mass[c]
+        return d, 0.5 * (M + M.T)
+
+
+def _class_moments(p: ProbVolume, c: int, mass_epsilon: float) -> SoftMoments:
+    mom = SoftMoments(p, (c,), mass_epsilon)
+    if not mom.present[c]:
+        raise VanishingMass(f"class {c} has soft mass {mom.mass[c]:g} < {mass_epsilon:g}")
+    return mom
+
+
 def soft_mass(p: ProbVolume, c: int) -> float:
     """Total probability mass of class c, in voxels."""
-    return float(p.data[c].sum())
+    return float(SoftMoments(p, ()).mass[c])
 
 
 def soft_volume(p: ProbVolume, c: int) -> float:
@@ -49,61 +92,59 @@ def soft_volume(p: ProbVolume, c: int) -> float:
 
 def soft_centroid(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> np.ndarray:
     """Probability-weighted mean world coordinate of class c (mm)."""
-    mass = soft_mass(p, c)
-    if mass < mass_epsilon:
-        raise VanishingMass(f"class {c} has soft mass {mass:g} < {mass_epsilon:g}")
-    coords = p.world_coordinates()
-    w = p.data[c]
-    return np.array([(coords[a] * w).sum() for a in range(3)]) / mass
+    return _class_moments(p, c, mass_epsilon).centroid[c]
 
 
 def soft_second_moment(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> np.ndarray:
     """Central second moment matrix (3x3, mm^2) of class c."""
-    mass = soft_mass(p, c)
-    if mass < mass_epsilon:
-        raise VanishingMass(f"class {c} has soft mass {mass:g} < {mass_epsilon:g}")
-    coords = p.world_coordinates()
-    w = p.data[c]
-    m = np.array([(coords[a] * w).sum() for a in range(3)]) / mass
-    d = coords - m[:, None, None, None]
-    M = np.empty((3, 3))
-    for a in range(3):
-        for b in range(a, 3):
-            M[a, b] = M[b, a] = (w * d[a] * d[b]).sum() / mass
-    return M
+    return _class_moments(p, c, mass_epsilon).second_moment(c)[1]
+
+
+#: Every relation, as class ids: 21 pairs (i, j) with i < j, and 105
+#: triples (i, j, k) with the angle at vertex j and i < k.
+PAIRS = np.array([(i, j) for i in FOREGROUND_CLASSES for j in FOREGROUND_CLASSES if i < j])
+TRIPLES = np.array([
+    (i, j, k) for j in FOREGROUND_CLASSES
+    for i in FOREGROUND_CLASSES for k in FOREGROUND_CLASSES if j not in (i, k) and i < k
+])
+
+
+def relation_geometry(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Segments, their lengths and the vertex cosines of a centroid constellation.
+
+    ``centroids`` is (8, 3), indexed by class id, nan for an absent class.
+    Returns the segment vectors m_a - m_b (8, 8, 3), their lengths (8, 8)
+    and the cosine at vertex j of every TRIPLES row (i, j, k). A length
+    below MIN_SEGMENT_MM, or touching an absent class, is nan, and so is
+    every cosine that uses it: such relations are skipped, not scored.
+    """
+    m = np.asarray(centroids, dtype=np.float64)
+    seg = m[:, None, :] - m[None, :, :]
+    length = np.linalg.norm(seg, axis=2)
+    length[~(length >= MIN_SEGMENT_MM)] = np.nan
+    i, j, k = TRIPLES.T
+    cos = (seg[i, j] * seg[k, j]).sum(axis=1) / (length[i, j] * length[k, j])
+    return seg, length, cos
 
 
 def relations(
-    centroids: np.ndarray, present: np.ndarray, min_segment_mm: float = MIN_SEGMENT_MM
+    centroids: np.ndarray, present: np.ndarray
 ) -> tuple[dict[PairKey, float], dict[TripleKey, float]]:
     """Pairwise distances and vertex cosines of a centroid constellation.
 
     ``centroids`` has one row per foreground class (class ids 1..7 map to
     rows 0..6); keys in the returned maps use class ids. Pairs need both
     endpoints present; triples (i, j, k) with vertex j and i < k need all
-    three. Entries whose segments are shorter than ``min_segment_mm`` are
+    three. Entries whose segments are shorter than MIN_SEGMENT_MM are
     omitted rather than reported as degenerate values.
     """
-    ids = [c for c in FOREGROUND_CLASSES if present[c - 1]]
-    pts = {c: np.asarray(centroids[c - 1], dtype=np.float64) for c in ids}
-    pair_distance: dict[PairKey, float] = {}
-    for ii, i in enumerate(ids):
-        for j in ids[ii + 1:]:
-            d = float(np.linalg.norm(pts[i] - pts[j]))
-            if d >= min_segment_mm:
-                pair_distance[(i, j)] = d
-    triple_cosine: dict[TripleKey, float] = {}
-    for j in ids:
-        others = [c for c in ids if c != j]
-        for ii, i in enumerate(others):
-            for k in others[ii + 1:]:
-                u = pts[i] - pts[j]
-                v = pts[k] - pts[j]
-                nu = float(np.linalg.norm(u))
-                nv = float(np.linalg.norm(v))
-                if nu < min_segment_mm or nv < min_segment_mm:
-                    continue
-                triple_cosine[(i, j, k)] = float(np.dot(u, v) / (nu * nv))
+    m = np.full((N_CLASSES, 3), np.nan)
+    rows = np.asarray(present, dtype=bool)
+    m[1:][rows] = np.asarray(centroids, dtype=np.float64)[rows]
+    _, length, cos = relation_geometry(m)
+    dist = length[PAIRS[:, 0], PAIRS[:, 1]]
+    pair_distance = {tuple(k): float(d) for k, d in zip(PAIRS.tolist(), dist) if np.isfinite(d)}
+    triple_cosine = {tuple(k): float(c) for k, c in zip(TRIPLES.tolist(), cos) if np.isfinite(c)}
     return pair_distance, triple_cosine
 
 
@@ -121,26 +162,14 @@ class CaseDescriptor:
 
 def case_descriptor(p: ProbVolume, mass_epsilon: float = MASS_EPSILON) -> CaseDescriptor:
     """Extract all soft descriptors of one probability volume."""
-    vols = np.full(N_CLASSES, np.nan)
-    cents = np.full((N_CLASSES, 3), np.nan)
+    mom = SoftMoments(p, FOREGROUND_CLASSES, mass_epsilon)
+    present = mom.present
+    vols = np.where(present, mom.mass * p.voxel_volume, np.nan)
     moms = np.full((N_CLASSES, 3, 3), np.nan)
-    present = np.zeros(N_CLASSES, dtype=bool)
-    coords = p.world_coordinates()
-    for c in FOREGROUND_CLASSES:
-        w = p.data[c]
-        mass = float(w.sum())
-        if mass < mass_epsilon:
-            continue
-        present[c] = True
-        vols[c] = mass * p.voxel_volume
-        m = np.array([(coords[a] * w).sum() for a in range(3)]) / mass
-        cents[c] = m
-        d = coords - m[:, None, None, None]
-        for a in range(3):
-            for b in range(a, 3):
-                moms[c, a, b] = moms[c, b, a] = (w * d[a] * d[b]).sum() / mass
-    pair_d, triple_c = relations(cents[1:], present[1:])
-    return CaseDescriptor(vols, cents, moms, present, pair_d, triple_c)
+    for c in np.flatnonzero(present):
+        moms[c] = mom.second_moment(c)[1]
+    pair_d, triple_c = relations(mom.centroid[1:], present[1:])
+    return CaseDescriptor(vols, mom.centroid, moms, present, pair_d, triple_c)
 
 
 @dataclass(frozen=True)
@@ -162,6 +191,23 @@ class ShapeStats:
 
     def class_usable(self, c: int) -> bool:
         return int(self.class_n[c]) >= 1
+
+    def relation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pair and triple (mean, std) aligned with PAIRS and TRIPLES.
+
+        A relation without stats gets mean nan and std 0.
+        """
+        return (*_aligned(PAIRS, self.pair_stats), *_aligned(TRIPLES, self.triple_stats))
+
+
+def _aligned(table: np.ndarray, entries: dict) -> tuple[np.ndarray, np.ndarray]:
+    mean = np.full(len(table), np.nan)
+    std = np.zeros(len(table))
+    for t, key in enumerate(table.tolist()):
+        e = entries.get(tuple(key))
+        if e is not None:
+            mean[t], std[t] = e[0], e[1]
+    return mean, std
 
 
 def aggregate(descriptors: list[CaseDescriptor]) -> ShapeStats:

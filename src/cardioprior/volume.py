@@ -108,13 +108,6 @@ class Volume3:
         """World coordinates of every voxel center, shape (3, nx, ny, nz)."""
         return voxel_center_grid(self.dims, self.spacing, self.offset)
 
-    def same_grid(self, other: "Volume3 | ProbVolume") -> bool:
-        return (
-            self.dims == other.dims
-            and self.spacing == other.spacing
-            and self.offset == other.offset
-        )
-
 
 @dataclass(frozen=True)
 class ProbVolume:

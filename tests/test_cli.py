@@ -183,6 +183,39 @@ class TestDeterminism:
             assert f.read_bytes() == (outs[1] / f.name).read_bytes(), f.name
 
 
+class TestEvalPairing:
+    """eval matches predictions to ground truth by case id, never by sorted position."""
+
+    def write_cases(self, gt_dir, pred_dir, pred_names):
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        for k, (case_id, pred_name) in enumerate(zip(("c", "c_m"), pred_names)):
+            data = np.zeros((6, 6, 6), dtype=np.uint8)
+            data[k:k + 3, 1:4, 1:4] = 1  # the two cases differ
+            v = Volume3(data, (2.0, 2.0, 2.0))
+            write_volume(v, gt_dir / f"{case_id}_label.mhd")
+            write_volume(v, pred_dir / f"{pred_name}.mhd")
+
+    def test_pairs_by_case_id(self, tmp_path):
+        # sorted, "c_label" < "c_m_label" but "c_m_pred" < "c_pred"
+        self.write_cases(tmp_path / "gt", tmp_path / "pred", ("c_pred", "c_m_pred"))
+        assert main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--out", str(tmp_path / "out")]) == 0
+        for case_id in ("c", "c_m"):
+            doc = json.loads((tmp_path / "out" / f"report_{case_id}_label.json").read_text())
+            assert doc["macro"]["dice"] == 1.0
+
+    def test_unmatched_case_ids_rejected(self, tmp_path, capsys):
+        self.write_cases(tmp_path / "gt", tmp_path / "pred", ("b_c", "a_c_m"))
+        rc = main(["eval", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: UsageError:")
+        assert all(case_id in err for case_id in ("'a_c_m'", "'b_c'", "'c'", "'c_m'"))
+        assert not (tmp_path / "out").exists()
+
+
 class TestPrep:
     def test_label_volume_recentered_into_fov(self, tmp_path):
         data = np.zeros((10, 10, 10), dtype=np.uint8)

@@ -232,6 +232,53 @@ class TestRelationLoss:
             relation_loss(p, stats)
 
 
+class TestOwnStatsScoreZero:
+    """Descriptors and losses share one moment kernel and one relation table."""
+
+    def soft_case(self):
+        rng = np.random.default_rng(11)
+        lab = np.zeros((9, 8, 7), dtype=np.uint8)
+        for c, corner in zip(FOREGROUND_CLASSES, rng.integers(0, 5, size=(7, 3))):
+            x, y, z = corner
+            lab[x:x + 4, y:y + 3, z:z + 3] = c
+        g = one_hot(label_volume(lab, (1.3, 0.8, 1.1), (-40.0, 25.0, 7.5)))
+        logits = 3.0 * g.data + rng.standard_normal(g.data.shape)
+        return ProbVolume(softmax(logits), g.spacing, g.offset)
+
+    def test_moment_loss_is_exactly_zero(self):
+        p = self.soft_case()
+        ev = moment_loss(p, stats_for(p))
+        assert ev.value == 0.0
+        assert not np.any(ev.grad)
+
+    def test_relation_loss_is_exactly_zero(self):
+        p = self.soft_case()
+        stats = stats_for(p)
+        unit = {k: (m, 1.0, n) for k, (m, _, n) in stats.pair_stats.items()}
+        unit_t = {k: (m, 1.0, n) for k, (m, _, n) in stats.triple_stats.items()}
+        stats = hand_stats(class_n=stats.class_n, pair_stats=unit, triple_stats=unit_t)
+        assert len(unit) == 21 and len(unit_t) == 105
+        ev = relation_loss(p, stats)
+        assert ev.value == 0.0
+        assert not np.any(ev.grad)
+
+    def test_short_segment_skipped(self):
+        # classes 1 and 2 share two voxels with centroids 5e-7 mm apart
+        data = np.zeros((N_CLASSES, 2, 1, 1))
+        eps = 2.5e-7
+        data[1, :, 0, 0] = (0.25, 0.25)
+        data[2, :, 0, 0] = (0.25 - eps, 0.25 + eps)
+        data[0] = 1.0 - data[1:].sum(axis=0)
+        p = ProbVolume(data, (1.0, 1.0, 1.0))
+        stats = hand_stats(
+            class_n=np.isin(np.arange(8), (1, 2)).astype(np.int64),
+            pair_stats={(1, 2): (3.0, 1.0, 2)},
+        )
+        ev = relation_loss(p, stats)
+        assert ev.terms["relation_dist"] == 0.0
+        assert not np.any(ev.grad)
+
+
 class TestTotalLoss:
     def test_reduces_to_gdice_ce(self, rng):
         g = one_hot(full_labels(rng))

@@ -185,6 +185,28 @@ class TestEvaluateCase:
                 assert m.hd95_mm is not None
                 assert m.hd95_mm <= m.hd_mm + 1e-12
 
+    def test_hd95_matches_bruteforce(self, rng):
+        spacing = (0.8, 1.7, 1.0)
+        checked = 0
+        for _ in range(10):
+            pred, gt = (label_volume(random_label_volume(rng, (9, 8, 10), classes=(1, 2)),
+                                     spacing) for _ in range(2))
+            report = evaluate_case(pred, gt, include_hd95=True)
+            for c in (1, 2):
+                m = report.per_class[c]
+                if m.hd95_mm is None:
+                    continue
+                a = surface_voxels(pred, c) * np.asarray(spacing)
+                b = surface_voxels(gt, c) * np.asarray(spacing)
+                dmat = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+                want = max(np.percentile(dmat.min(axis=1), 95.0),
+                           np.percentile(dmat.min(axis=0), 95.0))
+                hd, assd = brute_surface_metrics(pred, gt, c, spacing)
+                assert abs(m.hd95_mm - want) < 1e-9
+                assert abs(m.hd_mm - hd) < 1e-9 and abs(m.assd_mm - assd) < 1e-9
+                checked += 1
+        assert checked >= 10
+
     def test_to_dict_layout(self):
         gt = np.zeros((6, 6, 6), dtype=np.uint8)
         gt[2:4, 2:4, 2:4] = 5

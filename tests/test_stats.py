@@ -144,6 +144,15 @@ class TestRelations:
         assert (1, 2) not in dist
         assert (2, 1, 3) not in cos
 
+    def test_segment_below_floor_skipped(self):
+        # the same 1e-6 mm floor as relation_loss: a 5e-7 mm pair is no relation
+        pts, present = self.constellation()
+        pts[1] = pts[0] + (5e-7, 0.0, 0.0)
+        dist, cos = relations(pts, present)
+        assert (1, 2) not in dist
+        assert (2, 1, 3) not in cos and (1, 2, 3) not in cos
+        assert (1, 3) in dist
+
     def test_rigid_invariance(self, rng):
         pts = rng.uniform(-15, 15, (7, 3))
         present = np.ones(7, dtype=bool)
