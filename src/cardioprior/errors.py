@@ -35,7 +35,7 @@ class IoFailure(CardioPriorError):
 
 # geometry / resampling
 class InvalidSpacing(CardioPriorError):
-    pass
+    """Grid spacing that is not finite and positive, or an offset that is not finite."""
 
 
 class EmptyForeground(CardioPriorError):
@@ -62,7 +62,7 @@ class ShapeMismatch(CardioPriorError):
 
 
 class NotOneHot(CardioPriorError):
-    pass
+    """Ground truth that is not a uint8 label volume."""
 
 
 class NoUsableStats(CardioPriorError):

@@ -37,7 +37,7 @@ from .stats import (
     case_descriptor,
     relation_geometry,
 )
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3, one_hot
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3
 
 #: Probability floor inside the cross-entropy log.
 CE_CLAMP = 1e-12
@@ -111,51 +111,60 @@ class LossEval:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over axis 0 (the class axis)."""
+    """Stable softmax over axis 0 (the class axis), in one fresh buffer.
+
+    The same operations as ``e = exp(z - max); e / e.sum(axis=0)``, so the
+    result is bit-identical to that formula; ``logits`` is left unchanged.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=0, keepdims=True)
+    out = np.subtract(z, z.max(axis=0, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
-def _require_same_shape(p: ProbVolume, g: ProbVolume) -> None:
-    if p.data.shape != g.data.shape:
-        raise ShapeMismatch(f"probability grids differ: {p.data.shape} vs {g.data.shape}")
+def _require_labels(g: Volume3) -> None:
+    """Ground truth is a uint8 label Volume3; its constructor bounds the ids."""
+    if not isinstance(g, Volume3) or g.data.dtype != np.uint8:
+        raise NotOneHot("ground truth must be a uint8 label Volume3")
 
 
-def _require_one_hot(g: ProbVolume) -> None:
-    d = g.data
-    if not np.all((d == 0.0) | (d == 1.0)):
-        raise NotOneHot("ground truth entries must be exactly 0 or 1")
-    if not np.all(d.sum(axis=0) == 1.0):
-        raise NotOneHot("ground truth must assign exactly one class per voxel")
+def _require_same_shape(p: ProbVolume, g: Volume3) -> None:
+    if p.dims != g.dims:
+        raise ShapeMismatch(f"probability grid {p.dims} differs from label grid {g.dims}")
 
 
 def gdice_ce(
-    p: ProbVolume, g: ProbVolume, cfg: LossConfig = _DEFAULT_CONFIG, *, need_grad: bool = True
+    p: ProbVolume, g: Volume3, cfg: LossConfig = _DEFAULT_CONFIG, *, need_grad: bool = True
 ) -> LossEval:
-    """Generalized Dice plus cross-entropy against a one-hot ground truth.
+    """Generalized Dice plus cross-entropy against uint8 ground-truth labels.
 
     GDice = 1 - 2*sum_c w_c <p_c, g_c> / (sum_c w_c (sum p_c + sum g_c) + eps)
-    with w_c = 1/(sum_x g_c + eps)^2; CE = -(1/N) sum_x log p_{g(x)}(x) with
-    the probability clamped at 1e-12. Gradients are analytic for both.
+    with g the one-hot encoding of the labels and w_c = 1/(sum_x g_c + eps)^2;
+    CE = -(1/N) sum_x log p_{g(x)}(x) with the probability clamped at 1e-12.
+    Only each voxel's own-class probability enters, so both are computed
+    from a gather at (label, voxel) and per-class bincounts, never a dense
+    one-hot grid. Gradients are analytic for both.
     """
+    _require_labels(g)
     _require_same_shape(p, g)
-    _require_one_hot(g)
     w_gd = cfg.weights["gdice"]
     w_ce = cfg.weights["ce"]
     eps = cfg.epsilon_gd
     P = p.data.reshape(N_CLASSES, -1)
-    G = g.data.reshape(N_CLASSES, -1)
+    L = g.data.reshape(-1)
     n_vox = P.shape[1]
 
-    g_sum = G.sum(axis=1)
+    # flat index of (L[x], x); widen the labels first, since a uint8 product
+    # can wrap (numpy 1.x sizes the result by the scalar's value)
+    at_label = L.astype(np.intp) * n_vox + np.arange(n_vox)
+    p_true = P.reshape(-1).take(at_label)
+    g_sum = np.bincount(L, minlength=N_CLASSES).astype(np.float64)
     w_c = 1.0 / (g_sum + eps) ** 2
-    num = float((w_c * (P * G).sum(axis=1)).sum())
+    num = float((w_c * np.bincount(L, weights=p_true, minlength=N_CLASSES)).sum())
     den = float((w_c * (P.sum(axis=1) + g_sum)).sum()) + eps
     gdice = 1.0 - 2.0 * num / den
 
-    p_true = (P * G).sum(axis=0)
     p_clamped = np.maximum(p_true, CE_CLAMP)
     ce = float(-np.log(p_clamped).sum()) / n_vox
 
@@ -163,12 +172,16 @@ def gdice_ce(
     terms = {"gdice": w_gd * gdice, "ce": w_ce * ce}
     grad = None
     if need_grad:
-        # d GDice / d p_c(x) = -2 w_c (g_c(x) den - num) / den^2
-        grad_flat = (-2.0 * w_gd / den**2) * (w_c[:, None] * (G * den - num))
+        # d GDice / d p_c(x) = -2 w_c (g_c(x) den - num) / den^2: one constant
+        # per class off the label, another at it
+        coef = -2.0 * w_gd / den**2
+        grad = np.empty(p.data.shape)
+        grad_flat = grad.reshape(N_CLASSES, -1)
+        grad_flat[...] = (coef * (w_c * -num))[:, None]
         # CE contributes only at the annotated class; zero where the clamp binds
         live = p_true > CE_CLAMP
-        grad_flat -= (w_ce / n_vox) * G * (live / p_clamped)[None, :]
-        grad = grad_flat.reshape(p.data.shape)
+        at_hit = (coef * (w_c * (den - num)))[L] - (w_ce / n_vox) * (live / p_clamped)
+        grad_flat.reshape(-1)[at_label] = at_hit
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
@@ -327,7 +340,7 @@ def relation_loss(
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
-def _component(name: str, p: ProbVolume, g: ProbVolume, cfg: LossConfig, need_grad: bool):
+def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool):
     """Evaluate one COMPONENTS entry through its module-level function."""
     fn = globals()[COMPONENTS[name][0]]
     return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad)
@@ -335,25 +348,28 @@ def _component(name: str, p: ProbVolume, g: ProbVolume, cfg: LossConfig, need_gr
 
 def total_loss(
     logits: np.ndarray,
-    g: ProbVolume,
+    g: Volume3,
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
 ) -> LossEval:
     """Weighted sum of enabled components over softmax(logits).
 
-    Returns the gradient with respect to the logits: with s = softmax,
-    dL/dz_c = p_c (dL/dp_c - sum_d p_d dL/dp_d) per voxel. Components whose
-    weights are all zero are not evaluated at all.
+    ``g`` is the uint8 ground-truth label volume. Returns the gradient with
+    respect to the logits: with s = softmax, dL/dz_c = p_c (dL/dp_c - sum_d
+    p_d dL/dp_d) per voxel. Components whose weights are all zero are not
+    evaluated at all. The component gradients are summed into the first
+    one's buffer and the Jacobian is applied in place.
     """
+    _require_labels(g)
     z = np.asarray(logits, dtype=np.float64)
-    if z.shape != g.data.shape:
-        raise ShapeMismatch(f"logits shape {z.shape} does not match ground truth {g.data.shape}")
+    if z.shape != (N_CLASSES,) + g.dims:
+        raise ShapeMismatch(f"logits shape {z.shape} does not match ground truth {g.dims}")
     p = ProbVolume(softmax(z), g.spacing, g.offset)
     w = cfg.weights
     value = 0.0
     terms: dict[str, float] = {}
-    grad_p = np.zeros_like(p.data) if need_grad else None
+    grad = None
 
     enabled = [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
     regularized = tuple(n for n in enabled if n != "gdice_ce")
@@ -363,12 +379,22 @@ def total_loss(
         ev = _component(name, p, g, cfg, need_grad)
         value += ev.value
         terms.update(ev.terms)
-        if grad_p is not None:
-            grad_p += ev.grad
+        if need_grad:
+            if grad is None:
+                grad = ev.grad
+            else:
+                grad += ev.grad
 
-    grad = None
     if need_grad:
-        grad = p.data * (grad_p - (p.data * grad_p).sum(axis=0, keepdims=True))
+        # sum_d p_d dL/dp_d, row by row: the order .sum(axis=0) adds in
+        P = p.data.reshape(N_CLASSES, -1)
+        G = grad.reshape(N_CLASSES, -1)
+        dot = P[0] * G[0]
+        row = np.empty_like(dot)
+        for c in range(1, N_CLASSES):
+            dot += np.multiply(P[c], G[c], out=row)
+        G -= dot
+        G *= P
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
@@ -380,7 +406,7 @@ GRADCHECK_LOSSES = (*COMPONENTS, "total")
 
 
 def _gradcheck_instance(size: int, seed: int, name: str = "gdice_ce"):
-    """Deterministic random instance: logits, probabilities, one-hot GT.
+    """Deterministic random instance: logits, probabilities, GT labels.
 
     Non-unit anisotropic spacing so grid-geometry bugs cannot cancel out.
     Logits are random noise on top of a per-class octant bias, giving each
@@ -408,7 +434,7 @@ def _gradcheck_instance(size: int, seed: int, name: str = "gdice_ce"):
     bias = amp * (np.arange(N_CLASSES)[:, None, None, None] == octant[None])
     logits = bias + spread * rng.standard_normal((N_CLASSES,) + dims)
     p = ProbVolume(softmax(logits), spacing, offset)
-    g = one_hot(Volume3(octant.astype(np.uint8), spacing, offset))
+    g = Volume3(octant.astype(np.uint8), spacing, offset)
     return logits, p, g
 
 

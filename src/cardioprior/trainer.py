@@ -18,6 +18,7 @@ import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,7 +237,6 @@ def train(
             raise GridMismatch("all training cases must share one grid")
     stacks = [featurize(img, cfg.atlas, standardize=cfg.standardize) for img, _ in cases]
     flats = [s.data.reshape(s.data.shape[0], -1) for s in stacks]
-    gts = [one_hot(lab) for _, lab in cases]
     if stacks[0].data.shape[0] != model.weights.shape[1]:
         raise ArityMismatch(
             f"model expects {model.weights.shape[1]} features, got {stacks[0].data.shape[0]}"
@@ -251,29 +251,27 @@ def train(
     W_aux = model.aux_weights.copy() if model.aux_weights is not None else None
     n = len(cases)
     trace: list[dict[str, float]] = []
-    for epoch in range(cfg.epochs):
-        def run(i: int):
-            return _case_eval(W, W_aux, flats[i], gts[i], dims, cfg, aux_target, True)
+    pool = ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    with pool or nullcontext():
+        for epoch in range(cfg.epochs):
+            def run(i: int):
+                return _case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, True)
 
-        if cfg.jobs > 1:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-                results = list(ex.map(run, range(n)))
-        else:
-            results = [run(i) for i in range(n)]
+            results = list(pool.map(run, range(n)) if pool else map(run, range(n)))
 
-        total = sum(r[0] for r in results) / n
-        if not np.isfinite(total):
-            raise NonfiniteLoss(f"objective became non-finite at epoch {epoch}")
-        row = {"epoch": float(epoch), "total": total}
-        for key in results[0][1]:
-            row[key] = sum(r[1][key] for r in results) / n
-        trace.append(row)
+            total = sum(r[0] for r in results) / n
+            if not np.isfinite(total):
+                raise NonfiniteLoss(f"objective became non-finite at epoch {epoch}")
+            row = {"epoch": float(epoch), "total": total}
+            for key in results[0][1]:
+                row[key] = sum(r[1][key] for r in results) / n
+            trace.append(row)
 
-        grad_w = sum(r[2] for r in results) / n
-        W = W - cfg.step_size * grad_w
-        if W_aux is not None:
-            grad_aux = sum(r[3] for r in results) / n
-            W_aux = W_aux - cfg.step_size * grad_aux
+            grad_w = sum(r[2] for r in results) / n
+            W = W - cfg.step_size * grad_w
+            if W_aux is not None:
+                grad_aux = sum(r[3] for r in results) / n
+                W_aux = W_aux - cfg.step_size * grad_aux
     trained = replace(model, weights=W, aux_weights=W_aux)
     return trained, trace
 
@@ -345,7 +343,6 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     grid = FovSpec((8, 8, 8), 2.0)
     offset = grid.origin_centered_offset()
     cases = []
-    onehots = []
     for _ in range(2):
         labels = Volume3(
             rng.integers(0, N_CLASSES, grid.grid_size).astype(np.uint8), grid.spacing, offset
@@ -357,8 +354,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
             offset,
         )
         cases.append((image, labels))
-        onehots.append(one_hot(labels))
-    heat = (onehots[0].data + onehots[1].data) / 2.0
+    heat = (one_hot(cases[0][1]).data + one_hot(cases[1][1]).data) / 2.0
     atlas = HeatmapAtlas(reference_grid=grid, heatmaps=heat, case_count=2)
 
     names = feature_names(with_atlas=True)
@@ -407,7 +403,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     )
 
     def case_evals(need_grad):
-        return [_case_eval(W, W_aux, flats[i], onehots[i], dims, cfg, aux_target, need_grad)
+        return [_case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, need_grad)
                 for i in range(2)]
 
     results = case_evals(True)

@@ -19,6 +19,7 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import (
     InvalidLabelValue,
+    InvalidSpacing,
     IoFailure,
     MalformedHeader,
     SizeMismatch,
@@ -77,14 +79,7 @@ class Volume3:
         if arr.dtype not in _DTYPE_TO_KIND:
             raise UnsupportedElementType(f"unsupported volume dtype {arr.dtype}")
         object.__setattr__(self, "data", arr)
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be 3 strictly positive reals, got {self.spacing}")
-        object.__setattr__(self, "spacing", spacing)
-        offset = tuple(float(o) for o in self.offset)
-        if len(offset) != 3:
-            raise ValueError(f"offset must have 3 components, got {self.offset}")
-        object.__setattr__(self, "offset", offset)
+        _set_geometry(self)
         if arr.dtype == np.uint8 and arr.size and int(arr.max()) >= N_CLASSES:
             raise InvalidLabelValue(
                 f"label volume contains value {int(arr.max())}, valid ids are 0..{N_CLASSES - 1}"
@@ -118,14 +113,13 @@ class ProbVolume:
     offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        # C order, so that every (8, n_voxels) reshape of the data or of a
+        # gradient buffer shaped like it is a view, never a copy
+        arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 4 or arr.shape[0] != N_CLASSES:
             raise ValueError(f"probability data must have shape (8, nx, ny, nz), got {arr.shape}")
         object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
-        object.__setattr__(self, "offset", tuple(float(o) for o in self.offset))
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be strictly positive, got {self.spacing}")
+        _set_geometry(self)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -146,6 +140,18 @@ class ProbVolume:
         sums = self.data.sum(axis=0)
         if np.abs(sums - 1.0).max() > tol:
             raise ValueError("per-voxel class probabilities do not sum to 1")
+
+
+def _set_geometry(v: Volume3 | ProbVolume) -> None:
+    """Store spacing and offset as float triples: finite, spacing positive."""
+    spacing = tuple(float(s) for s in v.spacing)
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0.0 for s in spacing):
+        raise InvalidSpacing(f"spacing must be 3 finite positive reals, got {v.spacing}")
+    offset = tuple(float(o) for o in v.offset)
+    if len(offset) != 3 or not all(math.isfinite(o) for o in offset):
+        raise InvalidSpacing(f"offset must be 3 finite reals, got {v.offset}")
+    object.__setattr__(v, "spacing", spacing)
+    object.__setattr__(v, "offset", offset)
 
 
 def voxel_center_grid(
@@ -228,6 +234,8 @@ def read_volume(path: str | os.PathLike) -> Volume3:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(f"cannot read header {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"header {path} is not UTF-8 text: {exc}") from exc
 
     fields: dict[str, str] = {}
     for line in lines:

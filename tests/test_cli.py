@@ -128,6 +128,24 @@ class TestExitCodes:
         assert rc == 1
         assert "UsageError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, error", [
+        (b"\xff\xfeNDims = 3\n", "MalformedHeader"),
+        (b"ElementSpacing = 1 nan 1\n", "InvalidSpacing"),
+        (b"Offset = inf 0 0\n", "InvalidSpacing"),
+    ])
+    def test_bad_header_is_typed_error(self, tmp_path, capsys, bad, error):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        write_volume(Volume3(np.ones((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0)),
+                     labels / "case_000_label.mhd")
+        mhd = labels / "case_000_label.mhd"
+        key = bad.split(b" = ")[0].lstrip(b"\xff\xfe")
+        lines = mhd.read_bytes().splitlines(keepends=True)
+        mhd.write_bytes(b"".join(bad if ln.startswith(key) else ln for ln in lines))
+        rc = main(["stats", "--labels", str(labels), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}:")
+
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         small = Volume3(np.ones((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0))
         big = Volume3(np.ones((5, 5, 5), dtype=np.uint8), (1.0, 1.0, 1.0))

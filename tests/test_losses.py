@@ -10,6 +10,7 @@ from cardioprior import (
     ProbVolume,
     ShapeMismatch,
     UnknownLoss,
+    Volume3,
     aggregate,
     case_descriptor,
     default_weights,
@@ -22,7 +23,9 @@ from cardioprior import (
     total_loss,
     volume_loss,
 )
+from cardioprior.losses import CE_CLAMP
 from conftest import label_volume
+from oracles import dense_gdice_ce
 
 
 def stats_for(p):
@@ -93,36 +96,86 @@ class TestLossConfig:
 
 class TestGdiceCe:
     def test_perfect_prediction(self, rng):
-        g = one_hot(full_labels(rng))
-        ev = gdice_ce(g, g)
+        lab = full_labels(rng)
+        ev = gdice_ce(one_hot(lab), lab)
         assert ev.terms["ce"] == pytest.approx(0.0, abs=1e-9)
         assert 0.0 <= ev.terms["gdice"] < 1e-5
         assert ev.value == ev.terms["gdice"] + ev.terms["ce"]
 
     def test_uniform_prediction_ce_is_log8(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
+        g = one_hot(lab)
         p = ProbVolume(np.full(g.data.shape, 0.125), g.spacing, g.offset)
-        ev = gdice_ce(p, g)
+        ev = gdice_ce(p, lab)
         assert ev.terms["ce"] == pytest.approx(np.log(8.0), abs=1e-12)
 
     def test_value_nonnegative_and_grad_finite(self, rng):
-        g = one_hot(full_labels(rng))
-        p = soft_prediction(rng, g)
-        ev = gdice_ce(p, g)
+        lab = full_labels(rng)
+        p = soft_prediction(rng, one_hot(lab))
+        ev = gdice_ce(p, lab)
         assert ev.value >= 0.0
         assert np.isfinite(ev.grad).all()
 
     def test_shape_mismatch(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
         p = ProbVolume(np.full((8, 4, 4, 4), 0.125), (1, 1, 1))
         with pytest.raises(ShapeMismatch):
-            gdice_ce(p, g)
+            gdice_ce(p, lab)
 
     def test_not_one_hot(self, rng):
         g = one_hot(full_labels(rng))
         soft = ProbVolume(np.full(g.data.shape, 0.125), g.spacing, g.offset)
         with pytest.raises(NotOneHot):
             gdice_ce(soft, soft)
+
+
+class TestSoftmax:
+    def test_bit_identical_to_plain_formula_and_input_unchanged(self, rng):
+        logits = 3.0 * rng.standard_normal((N_CLASSES, 9, 8, 7))
+        before = logits.copy()
+        z = logits - logits.max(axis=0, keepdims=True)
+        e = np.exp(z)
+        plain = e / e.sum(axis=0, keepdims=True)
+        assert softmax(logits).tobytes() == plain.tobytes()
+        assert logits.tobytes() == before.tobytes()
+
+
+class TestGdiceCeLabelPath:
+    """The gather/bincount form against the dense one-hot formula."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = ((5, 6, 7), (12, 11, 10), (21, 20, 19))[seed % 3]
+        absent = int(rng.integers(0, N_CLASSES))
+        present = np.delete(np.arange(N_CLASSES), absent)
+        lab = label_volume(rng.choice(present, size=dims).astype(np.uint8), (1.2, 0.9, 1.5))
+        P = softmax(2.0 * rng.standard_normal((N_CLASSES,) + dims)).reshape(N_CLASSES, -1)
+        # own-class probabilities below, at and just above the CE clamp
+        L = lab.data.reshape(-1)
+        hit = rng.choice(L.size, size=9, replace=False)
+        P[L[hit], hit] = np.repeat((0.0, 1e-15, CE_CLAMP), 3)
+        P[L[hit[-2:]], hit[-2:]] = 2.0 * CE_CLAMP
+        p = ProbVolume(P.reshape((N_CLASSES,) + dims), lab.spacing, lab.offset)
+        w = {"gdice": float(rng.uniform(0.5, 2.0)), "ce": float(rng.uniform(0.5, 2.0))}
+        cfg = LossConfig(weights=w)
+        value, terms, grad = dense_gdice_ce(p, lab, w["gdice"], w["ce"], cfg.epsilon_gd, CE_CLAMP)
+        ev = gdice_ce(p, lab, cfg)
+        assert ev.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        for key in terms:
+            assert ev.terms[key] == pytest.approx(terms[key], rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(ev.grad, grad, rtol=1e-12, atol=0.0)
+        assert gdice_ce(p, lab, cfg, need_grad=False).value == ev.value
+
+    def test_one_hot_or_float_ground_truth_rejected(self, rng):
+        lab = full_labels(rng)
+        g = one_hot(lab)
+        as_float = Volume3(lab.data.astype(np.float32), lab.spacing, lab.offset)
+        for bad in (g, as_float):
+            with pytest.raises(NotOneHot):
+                gdice_ce(g, bad)
+            with pytest.raises(NotOneHot):
+                total_loss(np.zeros(g.data.shape), bad, LossConfig())
 
 
 class TestVolumeLoss:
@@ -232,6 +285,19 @@ class TestRelationLoss:
             relation_loss(p, stats)
 
 
+class TestMemoryLayout:
+    def test_fortran_ordered_probabilities_keep_their_gradients(self, rng):
+        lab = full_labels(rng)
+        p = soft_prediction(rng, one_hot(lab))
+        fortran = ProbVolume(np.asfortranarray(p.data), p.spacing, p.offset)
+        stats = stats_for_nonzero_sigma(one_hot(full_labels(np.random.default_rng(7))))
+        for fn in (volume_loss, moment_loss, relation_loss):
+            want = fn(p, stats)
+            got = fn(fortran, stats)
+            assert np.any(want.grad)
+            assert got.grad.tobytes() == want.grad.tobytes(), fn.__name__
+
+
 class TestOwnStatsScoreZero:
     """Descriptors and losses share one moment kernel and one relation table."""
 
@@ -281,27 +347,29 @@ class TestOwnStatsScoreZero:
 
 class TestTotalLoss:
     def test_reduces_to_gdice_ce(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
+        g = one_hot(lab)
         logits = rng.standard_normal(g.data.shape)
         zeros = {k: 0.0 for k in ("volume", "moment_centroid", "moment_second",
                                   "relation_dist", "relation_angle")}
-        ev = total_loss(logits, g, LossConfig(weights=zeros))
+        ev = total_loss(logits, lab, LossConfig(weights=zeros))
         p = ProbVolume(softmax(logits), g.spacing, g.offset)
-        ref = gdice_ce(p, g)
+        ref = gdice_ce(p, lab)
         assert ev.value == ref.value
         assert ev.terms == ref.terms
 
     def test_shift_invariance_and_grad_sum(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
+        g = one_hot(lab)
         logits = rng.standard_normal(g.data.shape)
-        ev = total_loss(logits, g, LossConfig(weights={"gdice": 1.0, "ce": 1.0,
+        ev = total_loss(logits, lab, LossConfig(weights={"gdice": 1.0, "ce": 1.0,
                                                        **dict.fromkeys(
                                                            ("volume", "moment_centroid",
                                                             "moment_second", "relation_dist",
                                                             "relation_angle"), 0.0)}))
         shifted = logits.copy()
         shifted[:, 2, 3, 1] += 4.2
-        ev2 = total_loss(shifted, g, LossConfig(weights={"gdice": 1.0, "ce": 1.0,
+        ev2 = total_loss(shifted, lab, LossConfig(weights={"gdice": 1.0, "ce": 1.0,
                                                          **dict.fromkeys(
                                                              ("volume", "moment_centroid",
                                                               "moment_second", "relation_dist",
@@ -310,22 +378,24 @@ class TestTotalLoss:
         assert abs(ev.grad[:, 2, 3, 1].sum()) < 1e-12
 
     def test_full_config_terms_sum_to_value(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
+        g = one_hot(lab)
         logits = 2.0 * rng.standard_normal(g.data.shape)
         stats = stats_for_nonzero_sigma(one_hot(full_labels(np.random.default_rng(7))))
-        ev = total_loss(logits, g, LossConfig(stats=stats))
+        ev = total_loss(logits, lab, LossConfig(stats=stats))
         assert ev.value == pytest.approx(sum(ev.terms.values()), abs=1e-9)
         assert np.isfinite(ev.grad).all()
 
     def test_requires_stats_for_regularizers(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
+        g = one_hot(lab)
         with pytest.raises(NoUsableStats):
-            total_loss(np.zeros(g.data.shape), g, LossConfig())
+            total_loss(np.zeros(g.data.shape), lab, LossConfig())
 
     def test_shape_mismatch(self, rng):
-        g = one_hot(full_labels(rng))
+        lab = full_labels(rng)
         with pytest.raises(ShapeMismatch):
-            total_loss(np.zeros((8, 4, 4, 4)), g, LossConfig())
+            total_loss(np.zeros((8, 4, 4, 4)), lab, LossConfig())
 
 
 class TestGradcheck:

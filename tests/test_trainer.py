@@ -182,6 +182,25 @@ class TestTrain:
         assert t1.weights.tobytes() == t3.weights.tobytes()
         assert trace1 == trace3
 
+    def test_one_thread_pool_per_train_call(self, monkeypatch):
+        import cardioprior.trainer as trainer_mod
+
+        made = []
+
+        class CountingPool(trainer_mod.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", CountingPool)
+        cases = tiny_cases(3)
+        model = init_model(feature_names(False))
+        for jobs, want in ((1, []), (2, [2])):
+            made.clear()
+            cfg = TrainConfig(epochs=4, loss=LossConfig(weights=BASELINE_ONLY), jobs=jobs)
+            train(model, cases, cfg)
+            assert made == want
+
     def test_baseline_trace_strictly_decreasing_early(self):
         spec = PhantomSpec(jitter=Jitter.none())
         cases = [generate(spec, i) for i in range(10)]

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from cardioprior import (
     CLASS_NAMES,
     N_CLASSES,
+    CardioPriorError,
     InvalidLabelValue,
+    InvalidSpacing,
     MalformedHeader,
     ProbVolume,
     SizeMismatch,
@@ -103,8 +105,21 @@ class TestVolume3Validation:
             Volume3(bad, (1, 1, 1))
 
     def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpacing):
             Volume3(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("spacing, offset", [
+        ((1.0, np.nan, 1.0), (0.0, 0.0, 0.0)),
+        ((np.inf, 1.0, 1.0), (0.0, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (np.inf, 0.0, 0.0)),
+        ((1.0, 1.0, 1.0), (0.0, np.nan, 0.0)),
+    ])
+    def test_rejects_nonfinite_geometry(self, spacing, offset):
+        with pytest.raises(InvalidSpacing):
+            Volume3(np.zeros((2, 2, 2), dtype=np.uint8), spacing, offset)
+        with pytest.raises(InvalidSpacing):
+            ProbVolume(np.full((N_CLASSES, 2, 2, 2), 0.125), spacing, offset)
+        assert issubclass(InvalidSpacing, CardioPriorError)
 
     def test_rejects_unsupported_dtype(self):
         with pytest.raises(UnsupportedElementType):
@@ -120,6 +135,14 @@ class TestVolume3Validation:
         assert xyz.shape == (3, 3, 3, 3)
         assert tuple(xyz[:, 0, 0, 0]) == (-1.0, 0.0, 4.0)
         assert tuple(xyz[:, 1, 2, 1]) == (1.0, 2.0, 4.5)
+
+
+class TestProbVolumeLayout:
+    def test_data_is_c_contiguous(self, rng):
+        data = np.asfortranarray(rng.uniform(size=(N_CLASSES, 3, 4, 5)))
+        p = ProbVolume(data, (1, 1, 1))
+        assert p.data.flags.c_contiguous
+        assert (p.data == data).all()
 
 
 class TestProbVolumeValidate:
@@ -172,6 +195,12 @@ class TestReadVolume:
         header = GOOD_HEADER.replace("MET_UCHAR", "MET_SHORT")
         path = write_pair(tmp_path, header, bytes(16))
         with pytest.raises(UnsupportedElementType):
+            read_volume(path)
+
+    def test_non_utf8_header_rejected(self, tmp_path):
+        path = write_pair(tmp_path, GOOD_HEADER, bytes(8))
+        path.write_bytes(b"\xff\xfe" + GOOD_HEADER.encode())
+        with pytest.raises(MalformedHeader):
             read_volume(path)
 
     def test_payload_order_is_x_fastest(self, tmp_path):
