@@ -20,6 +20,7 @@ from .errors import (
     InsufficientLandmarks,
     InvalidLabelValue,
     InvalidSpacing,
+    InvalidStats,
     IoFailure,
     MalformedHeader,
     NoUsableStats,
@@ -67,7 +68,6 @@ from .metrics import (
     evaluate_case,
     overlap,
     surface_distances,
-    surface_distances_bruteforce,
     surface_voxels,
 )
 from .phantom import (
@@ -145,7 +145,7 @@ __all__ = [
     "CardioPriorError", "MalformedHeader", "SizeMismatch",
     "UnsupportedElementType", "InvalidLabelValue", "IoFailure",
     "InvalidSpacing", "EmptyForeground", "InsufficientLandmarks",
-    "DegenerateConfiguration", "VanishingMass", "ShapeMismatch",
+    "DegenerateConfiguration", "VanishingMass", "InvalidStats", "ShapeMismatch",
     "NotOneHot", "NoUsableStats", "UnknownLoss", "EmptySurface",
     "DegenerateSpec", "UnknownMode", "GridMismatch", "ArityMismatch",
     "NonfiniteLoss", "UsageError",
@@ -170,7 +170,7 @@ __all__ = [
     "gradcheck", "GRADCHECK_LOSSES", "save_loss_config", "load_loss_config",
     # metrics
     "ClassMetrics", "MetricsReport", "overlap", "surface_voxels",
-    "surface_distances", "surface_distances_bruteforce", "evaluate_case",
+    "surface_distances", "evaluate_case",
     # phantom
     "PhantomSpec", "Jitter", "generate", "degrade",
     "canonical_compartments", "canonical_volumes", "BASE_INTENSITY",

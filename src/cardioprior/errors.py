@@ -56,6 +56,10 @@ class VanishingMass(CardioPriorError):
     pass
 
 
+class InvalidStats(CardioPriorError):
+    """A stats file with an unknown schema, a class-name mismatch or a bad std."""
+
+
 # losses
 class ShapeMismatch(CardioPriorError):
     pass

@@ -236,8 +236,10 @@ def moment_loss(
 
     L = sum_c [ w1 ||m_c - mbar_c||^2 + w2 ||M_c - Mbar_c||_F^2 ] with m the
     soft centroid and M the central second moment. Gradients use
-    dm/dp(x) = (x - m)/mass and dM/dp(x) = ((x-m)(x-m)^T - M)/mass.
-    Low-mass classes and classes without stats are skipped.
+    dm/dp(x) = (x - m)/mass and dM/dp(x) = ((x-m)(x-m)^T - M)/mass, a
+    quadratic in x per class: it is reduced to ten coefficients on the grid
+    basis and evaluated for all classes by one matrix product. Low-mass
+    classes and classes without stats are skipped.
     """
     w1 = cfg.weights["moment_centroid"]
     w2 = cfg.weights["moment_second"]
@@ -248,15 +250,14 @@ def moment_loss(
         raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
     terms: dict[str, float] = {}
     value = 0.0
-    grad = np.zeros_like(p.data) if need_grad else None
-    grad_flat = grad.reshape(N_CLASSES, -1) if grad is not None else None
+    coef = np.zeros((N_CLASSES, 10))  # gradient of each class in the grid basis
     for c in FOREGROUND_CLASSES:
         name = CLASS_NAMES[c]
         if not mom.present[c]:
             terms[f"moment_centroid_{name}"] = 0.0
             terms[f"moment_second_{name}"] = 0.0
             continue
-        d, M = mom.second_moment(c)
+        M = mom.second_moment[c]
         dm = mom.centroid[c] - stats.centroid_mean[c]
         dM = M - stats.second_moment_mean[c]
         t1 = w1 * float(dm @ dm)
@@ -264,10 +265,17 @@ def moment_loss(
         terms[f"moment_centroid_{name}"] = t1
         terms[f"moment_second_{name}"] = t2
         value += t1 + t2
-        if grad_flat is not None:
-            grad_flat[c] += (2.0 * w1 / mom.mass[c]) * (dm @ d)
-            quad = (d * (dM @ d)).sum(axis=0)  # d^T (M - Mbar) d per voxel
-            grad_flat[c] += (2.0 * w2 / mom.mass[c]) * (quad - float((dM * M).sum()))
+        if need_grad:
+            # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
+            a = 2.0 * w1 / mom.mass[c]
+            b = 2.0 * w2 / mom.mass[c]
+            mu = mom.mu[c]
+            sym = dM + dM.T
+            coef[c, 0] = -a * (dm @ mu) + b * (mu @ dM @ mu - float((dM * M).sum()))
+            coef[c, 1:4] = a * dm - b * (sym @ mu)
+            coef[c, 4:7] = b * np.diag(dM)
+            coef[c, 7:] = b * sym[(0, 0, 1), (1, 2, 2)]
+    grad = (coef @ mom.basis).reshape(p.data.shape) if need_grad else None
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
@@ -293,7 +301,7 @@ def relation_loss(
     if int(mom.present.sum()) < 2:
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
 
-    seg, length, cos = relation_geometry(mom.centroid)
+    seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
     p_mean, p_std, t_mean, t_std = stats.relation_arrays()
     G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
     dist_val = 0.0
@@ -330,11 +338,12 @@ def relation_loss(
 
     grad = None
     if need_grad:
-        grad = np.zeros_like(p.data)
-        grad_flat = grad.reshape(N_CLASSES, -1)
-        for c in FOREGROUND_CLASSES:
-            if mom.present[c] and G[c].any():
-                grad_flat[c] = (G[c] @ mom.coords - G[c] @ mom.centroid[c]) / mom.mass[c]
+        # G_c.(x - m_c)/mass_c is linear: coefficients on the basis rows 1, u, v, w
+        coef = np.zeros((N_CLASSES, 4))
+        k = mom.present & G.any(axis=1)
+        coef[k, 0] = -(G[k] * mom.mu[k]).sum(axis=1) / mom.mass[k]
+        coef[k, 1:] = G[k] / mom.mass[k, None]
+        grad = (coef @ mom.basis[:4]).reshape(p.data.shape)
     value = dist_val + angle_val
     terms = {"relation_dist": dist_val, "relation_angle": angle_val}
     return LossEval(value=float(value), grad=grad, terms=terms)

@@ -10,10 +10,8 @@ column is available but clearly optional); a class empty in both volumes is
 *absent* from the report rather than scored 0, while a class empty in
 exactly one of the two gets dice = jaccard = 0 and absent surface metrics.
 
-Two independent distance routes are kept: the production path runs on a
-Euclidean distance transform, and ``surface_distances_bruteforce`` does the
-O(|S_p|*|S_g|) direct search. They must agree to 1e-9 and the test suite
-holds them to that.
+Surface distances run on a Euclidean distance transform; the test suite
+holds them to a direct O(|S_p|*|S_g|) pairwise search within 1e-9.
 """
 
 from __future__ import annotations
@@ -105,24 +103,6 @@ def surface_distances(
     if not with_hd95:
         return hd, assd
     return hd, assd, max(float(np.percentile(d_pg, 95.0)), float(np.percentile(d_gp, 95.0)))
-
-
-def surface_distances_bruteforce(
-    pred: Volume3, gt: Volume3, c: int, spacing: tuple[float, float, float] | None = None
-) -> tuple[float, float]:
-    """Same contract as surface_distances via direct pairwise search."""
-    _require_same_grid(pred, gt)
-    sp = np.asarray(spacing if spacing is not None else pred.spacing, dtype=np.float64)
-    a = surface_voxels(pred, c) * sp
-    b = surface_voxels(gt, c) * sp
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptySurface(f"class {c} has an empty surface")
-    dmat = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    d_pg = dmat.min(axis=1)
-    d_gp = dmat.min(axis=0)
-    hd = max(float(d_pg.max()), float(d_gp.max()))
-    assd = (float(d_pg.sum()) + float(d_gp.sum())) / (a.shape[0] + b.shape[0])
-    return hd, assd
 
 
 @dataclass(frozen=True)

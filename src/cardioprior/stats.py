@@ -5,7 +5,8 @@ hard labels, which makes it differentiable: soft volume is probability mass
 times voxel volume, the soft centroid is the probability-weighted mean world
 coordinate, and the soft second moment is the probability-weighted central
 covariance of world coordinates (its eigenstructure describes the best-fit
-ellipsoid).
+ellipsoid). All three come from one pass: the probabilities times a cached
+basis of coordinate monomials about the grid centre (``grid_basis``).
 
 Centroid relations are stored as pairwise distances (mm) and as cosines of
 the angle at a vertex centroid, which avoids any angle-unit or wraparound
@@ -17,14 +18,15 @@ quantity is present.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
 from ._version import __version__
-from .errors import VanishingMass
+from .errors import InvalidStats, VanishingMass
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume
 
 #: Soft-mass floor (in voxels of probability mass) below which moment
@@ -39,38 +41,70 @@ PairKey = tuple[int, int]
 TripleKey = tuple[int, int, int]  # (i, j, k): angle at vertex j, i < k
 
 
-class SoftMoments:
-    """The soft-moment kernel: one centroid pass over a probability volume.
+#: Coordinate-axis pairs of the quadratic grid-basis rows 4..9.
+_QUADRATIC = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
-    ``mass`` (8,), ``centroid`` (8, 3) and ``present`` (8,) are indexed by
-    class id. A class is present, with a finite centroid, when it is in
-    ``classes`` and its mass reaches the floor. ``second_moment(c)`` is the
-    second pass for one class. Both passes use centred two-pass arithmetic
-    (the mean first, then the covariance of the centred coordinates), which
-    keeps the moments accurate however far the grid sits from the origin.
+
+@lru_cache(maxsize=4)
+def grid_basis(dims: tuple[int, int, int], spacing: tuple[float, float, float]) -> np.ndarray:
+    """The ten monomials of the voxel-centre coordinates, (10, N), read-only.
+
+    Rows are 1, u, v, w, uu, vv, ww, uv, uw, vw with (u, v, w) the voxel
+    centre minus the grid centre in mm, voxels in C order. Every soft moment
+    and every moment or relation gradient is a linear combination of these
+    rows. The offset does not enter, so one basis serves every grid of the
+    same dims and spacing; the few most recent grids are cached.
+    """
+    axes = [spacing[a] * (np.arange(dims[a]) - (dims[a] - 1) / 2.0) for a in range(3)]
+    basis = np.empty((10, *dims))
+    basis[0] = 1.0
+    basis[1] = axes[0][:, None, None]
+    basis[2] = axes[1][None, :, None]
+    basis[3] = axes[2][None, None, :]
+    for row, (a, b) in enumerate(_QUADRATIC, start=4):
+        np.multiply(basis[1 + a], basis[1 + b], out=basis[row])
+    basis = basis.reshape(10, -1)
+    basis.setflags(write=False)
+    return basis
+
+
+class SoftMoments:
+    """The soft-moment kernel: every class's moments from one product.
+
+    ``mass`` (8,), ``centroid`` (8, 3), ``second_moment`` (8, 3, 3) and
+    ``present`` (8,) are indexed by class id. A class is present, with
+    finite moments, when it is in ``classes`` and its mass reaches the
+    floor; otherwise its moments are nan. The (8, N) probabilities times the
+    (N, 10) grid basis give each class's mass and its raw first and second
+    moments about the grid centre; ``mu`` is the centroid relative to that
+    centre and the central moment is M = R - mu mu^T, each entry computed
+    once and written to both halves, so M is exactly symmetric. Taking the
+    moments about the grid centre rather than the world origin bounds the
+    cancellation error of M to about eps * |mu|^2 / ||M||, relative, however
+    far the grid sits from the origin.
     """
 
     def __init__(self, p: ProbVolume, classes=range(N_CLASSES),
                  mass_epsilon: float = MASS_EPSILON) -> None:
-        self._p = p
-        self.probs = p.data.reshape(N_CLASSES, -1)
-        self.mass = self.probs.sum(axis=1)
-        self.centroid = np.full((N_CLASSES, 3), np.nan)
-        for c in classes:
-            if self.mass[c] >= mass_epsilon:
-                self.centroid[c] = self.coords @ self.probs[c] / self.mass[c]
-        self.present = np.isfinite(self.centroid[:, 0])
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """World coordinates of the voxel centres, (3, N) mm."""
-        return self._p.world_coordinates().reshape(3, -1)
-
-    def second_moment(self, c: int) -> tuple[np.ndarray, np.ndarray]:
-        """Centred coordinates (3, N) and central second moment (3, 3) of class c."""
-        d = self.coords - self.centroid[c][:, None]
-        M = (d * self.probs[c]) @ d.T / self.mass[c]
-        return d, 0.5 * (M + M.T)
+        self.basis = grid_basis(p.dims, p.spacing)
+        centre = np.add(p.offset, np.multiply(p.spacing, np.subtract(p.dims, 1) / 2.0))
+        raw = p.data.reshape(N_CLASSES, -1) @ self.basis.T
+        self.mass = raw[:, 0]
+        self.present = np.zeros(N_CLASSES, dtype=bool)
+        self.present[list(classes)] = True
+        self.present &= self.mass >= mass_epsilon
+        k = self.present
+        mass, first = self.mass[k], raw[k, 1:4]
+        mu = first / mass[:, None]
+        M = np.empty((len(mu), 3, 3))
+        for row, (a, b) in enumerate(_QUADRATIC, start=4):
+            # (sum p u_a u_b - sum p u_a * mu_b) / mass, written to both halves
+            M[:, a, b] = M[:, b, a] = (raw[k, row] - first[:, a] * mu[:, b]) / mass
+        self.mu = np.full((N_CLASSES, 3), np.nan)
+        self.mu[k] = mu
+        self.centroid = centre + self.mu
+        self.second_moment = np.full((N_CLASSES, 3, 3), np.nan)
+        self.second_moment[k] = M
 
 
 def _class_moments(p: ProbVolume, c: int, mass_epsilon: float) -> SoftMoments:
@@ -97,7 +131,7 @@ def soft_centroid(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> 
 
 def soft_second_moment(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> np.ndarray:
     """Central second moment matrix (3x3, mm^2) of class c."""
-    return _class_moments(p, c, mass_epsilon).second_moment(c)[1]
+    return _class_moments(p, c, mass_epsilon).second_moment[c]
 
 
 #: Every relation, as class ids: 21 pairs (i, j) with i < j, and 105
@@ -165,11 +199,9 @@ def case_descriptor(p: ProbVolume, mass_epsilon: float = MASS_EPSILON) -> CaseDe
     mom = SoftMoments(p, FOREGROUND_CLASSES, mass_epsilon)
     present = mom.present
     vols = np.where(present, mom.mass * p.voxel_volume, np.nan)
-    moms = np.full((N_CLASSES, 3, 3), np.nan)
-    for c in np.flatnonzero(present):
-        moms[c] = mom.second_moment(c)[1]
-    pair_d, triple_c = relations(mom.centroid[1:], present[1:])
-    return CaseDescriptor(vols, mom.centroid, moms, present, pair_d, triple_c)
+    # relations are translation invariant: take them about the grid centre
+    pair_d, triple_c = relations(mom.mu[1:], present[1:])
+    return CaseDescriptor(vols, mom.centroid, mom.second_moment, present, pair_d, triple_c)
 
 
 @dataclass(frozen=True)
@@ -284,11 +316,23 @@ def save_stats(stats: ShapeStats, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _std(value, what: str) -> float:
+    """A population std read from a stats file: a finite real >= 0."""
+    try:
+        std = float(value)
+    except (TypeError, ValueError):
+        std = math.nan
+    if not (math.isfinite(std) and std >= 0.0):
+        raise InvalidStats(f"{what} must be finite and >= 0, got {value!r}")
+    return std
+
+
 def load_stats(path: str | os.PathLike) -> ShapeStats:
+    """Read stats.json; a bad schema, class name or std raises InvalidStats."""
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != "shape-stats/1":
-        raise ValueError(f"unrecognized stats schema in {path}")
+        raise InvalidStats(f"unrecognized stats schema {doc.get('schema')!r} in {path}")
     vol_mean = np.full(N_CLASSES, np.nan)
     vol_std = np.full(N_CLASSES, np.nan)
     cent_mean = np.full((N_CLASSES, 3), np.nan)
@@ -297,19 +341,22 @@ def load_stats(path: str | os.PathLike) -> ShapeStats:
     for entry in doc["classes"]:
         c = int(entry["id"])
         if CLASS_NAMES[c] != entry["name"]:
-            raise ValueError(f"class name mismatch for id {c}: {entry['name']!r}")
+            raise InvalidStats(f"class name mismatch for id {c}: {entry['name']!r}")
         class_n[c] = entry["n"]
         if entry["n"] == 0:
             continue
         vol_mean[c] = entry["volume_mean"]
-        vol_std[c] = entry["volume_std"]
+        vol_std[c] = _std(entry["volume_std"], f"volume_std of class {c}")
         cent_mean[c] = entry["centroid_mean"]
         mom_mean[c] = np.asarray(entry["second_moment_mean"]).reshape(3, 3)
     pair_stats = {
-        tuple(e["pair"]): (e["mean"], e["std"], e["n"]) for e in doc["pairs"]
+        tuple(e["pair"]): (e["mean"], _std(e["std"], f"std of pair {e['pair']}"), e["n"])
+        for e in doc["pairs"]
     }
     triple_stats = {
-        tuple(e["triple"]): (e["cos_mean"], e["cos_std"], e["n"]) for e in doc["triples"]
+        tuple(e["triple"]): (e["cos_mean"], _std(e["cos_std"], f"cos_std of triple {e['triple']}"),
+                             e["n"])
+        for e in doc["triples"]
     }
     return ShapeStats(
         vol_mean, vol_std, cent_mean, mom_mean, class_n,

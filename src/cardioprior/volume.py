@@ -130,9 +130,6 @@ class ProbVolume:
         sx, sy, sz = self.spacing
         return sx * sy * sz
 
-    def world_coordinates(self) -> np.ndarray:
-        return voxel_center_grid(self.dims, self.spacing, self.offset)
-
     def validate(self, tol: float = 1e-6) -> None:
         """Check the probability invariants: entries in [0, 1], voxel sums = 1 +- tol."""
         if self.data.min() < -tol or self.data.max() > 1.0 + tol:
@@ -224,9 +221,10 @@ def write_volume(v: Volume3, path: str | os.PathLike) -> None:
 def read_volume(path: str | os.PathLike) -> Volume3:
     """Read an .mhd header + raw payload pair written by :func:`write_volume`.
 
-    Strict parse: unknown or missing keys raise MalformedHeader, unknown
-    element types raise UnsupportedElementType, and a payload whose byte
-    length disagrees with DimSize raises SizeMismatch.
+    Strict parse: unknown or missing keys raise MalformedHeader, and so does
+    an ElementDataFile that is not a bare file name beside the header;
+    unknown element types raise UnsupportedElementType, and a payload whose
+    byte length disagrees with DimSize raises SizeMismatch.
     """
     path = os.fspath(path)
     try:
@@ -272,7 +270,10 @@ def read_volume(path: str | os.PathLike) -> Volume3:
         raise UnsupportedElementType(f"ElementType {eltype!r} not supported")
     dtype = _ELEMENT_TYPES[eltype]
 
-    raw_path = os.path.join(os.path.dirname(path), fields["ElementDataFile"])
+    data_file = fields["ElementDataFile"]
+    if data_file in ("", ".", "..") or "/" in data_file or "\\" in data_file:
+        raise MalformedHeader(f"ElementDataFile must be a bare file name, got {data_file!r}")
+    raw_path = os.path.join(os.path.dirname(path), data_file)
     try:
         with open(raw_path, "rb") as fh:
             payload = fh.read()

@@ -100,6 +100,16 @@ def brute_surface_set(labels, c):
     return out
 
 
+def _pairwise_hd_assd(a, b):
+    """HD and ASSD from the full pairwise distance matrix of two point sets."""
+    dmat = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+    d_ab = dmat.min(axis=1)
+    d_ba = dmat.min(axis=0)
+    hd = max(float(d_ab.max()), float(d_ba.max()))
+    assd = (float(d_ab.sum()) + float(d_ba.sum())) / (len(a) + len(b))
+    return hd, assd
+
+
 def brute_surface_metrics(pred, gt, c, spacing):
     """HD and ASSD from the full pairwise distance matrix of the surfaces."""
     sp = np.asarray(spacing, dtype=np.float64)
@@ -107,12 +117,19 @@ def brute_surface_metrics(pred, gt, c, spacing):
     b = np.asarray(brute_surface_set(gt, c), dtype=np.float64).reshape(-1, 3) * sp
     if a.size == 0 or b.size == 0:
         return None, None
-    dmat = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
-    d_ab = dmat.min(axis=1)
-    d_ba = dmat.min(axis=0)
-    hd = max(float(d_ab.max()), float(d_ba.max()))
-    assd = (float(d_ab.sum()) + float(d_ba.sum())) / (len(a) + len(b))
-    return hd, assd
+    return _pairwise_hd_assd(a, b)
+
+
+def surface_distances_bruteforce(pred, gt, c):
+    """HD and ASSD by direct pairwise search over the package's surface voxels.
+
+    Same contract as ``surface_distances`` (both surfaces non-empty), but the
+    distances come from a pairwise search instead of a distance transform.
+    """
+    from cardioprior import surface_voxels
+
+    sp = np.asarray(pred.spacing, dtype=np.float64)
+    return _pairwise_hd_assd(surface_voxels(pred, c) * sp, surface_voxels(gt, c) * sp)
 
 
 def dense_gdice_ce(p, labels, w_gd=1.0, w_ce=1.0, eps=1e-6, clamp=1e-12):
@@ -137,6 +154,94 @@ def dense_gdice_ce(p, labels, w_gd=1.0, w_ce=1.0, eps=1e-6, clamp=1e-12):
     grad -= (w_ce / n_vox) * G * ((p_true > clamp) / p_clamped)[None, :]
     terms = {"gdice": w_gd * gdice, "ce": w_ce * ce}
     return w_gd * gdice + w_ce * ce, terms, grad.reshape(p.data.shape)
+
+
+def _dense_moments(p, c):
+    """Mass, centroid and the per-voxel centred coordinates d (3, N).
+
+    Coordinates are listed from the grid's first voxel, so d keeps its
+    digits on grids far from the origin; the returned centroid is relative
+    to that voxel, and the offset is added back only where a world
+    position is needed.
+    """
+    w = p.data[c].reshape(-1)
+    x = voxel_centers(p.dims, p.spacing, (0.0, 0.0, 0.0)).T
+    mass = w.sum()
+    m = (x * w).sum(axis=1) / mass
+    return mass, m, x - m[:, None]
+
+
+def dense_moment_loss(p, stats):
+    """Unit-weight moment loss and its probability gradient, per voxel.
+
+    Per class with stats and mass >= 1e-6: d = x - m, M = sum p d d^T / mass
+    (symmetrised), and the gradient (2/mass) (dm.d + d.(dM d) - <dM, M>)
+    with dm = m - mbar and dM = M - Mbar.
+    """
+    value = 0.0
+    grad = np.zeros((p.data.shape[0], int(np.prod(p.dims))))
+    for c in range(1, p.data.shape[0]):
+        if stats.class_n[c] < 1 or p.data[c].sum() < 1e-6:
+            continue
+        mass, m, d = _dense_moments(p, c)
+        M = (d * p.data[c].reshape(-1)) @ d.T / mass
+        M = 0.5 * (M + M.T)
+        dm = (np.asarray(p.offset) + m) - stats.centroid_mean[c]
+        dM = M - stats.second_moment_mean[c]
+        value += float(dm @ dm) + float((dM * dM).sum())
+        grad[c] = (2.0 / mass) * (dm @ d)
+        grad[c] += (2.0 / mass) * ((d * (dM @ d)).sum(axis=0) - float((dM * M).sum()))
+    return value, grad.reshape(p.data.shape)
+
+
+def dense_relation_loss(p, stats):
+    """Unit-weight relation loss and its probability gradient, per relation.
+
+    Loops over the pair and triple statistics with the loss's skip rules
+    (zero std, non-finite mean, absent class, segment below 1e-6 mm),
+    accumulates dL/dm per class, then spreads it per voxel as
+    dL/dm_c . d / mass_c with d = x - m_c.
+    """
+    n_cls = p.data.shape[0]
+    m = np.full((n_cls, 3), np.nan)
+    for c in range(1, n_cls):
+        if stats.class_n[c] >= 1 and p.data[c].sum() >= 1e-6:
+            m[c] = _dense_moments(p, c)[1]
+    G = np.zeros((n_cls, 3))
+    value = 0.0
+
+    def segment(a, b):
+        s = m[a] - m[b]
+        n = float(np.sqrt(s @ s))
+        return (s, n) if n >= 1e-6 else (None, None)
+
+    for (i, j), (mean, std, _) in stats.pair_stats.items():
+        s, n = segment(i, j)
+        if s is None or not std > 0.0 or not np.isfinite(mean):
+            continue
+        z = (n - mean) / std
+        value += z * z
+        G[i] += 2.0 * z / std * s / n
+        G[j] -= 2.0 * z / std * s / n
+    for (i, j, k), (mean, std, _) in stats.triple_stats.items():
+        a, na = segment(i, j)
+        b, nb = segment(k, j)
+        if a is None or b is None or not std > 0.0 or not np.isfinite(mean):
+            continue
+        cos = float(a @ b) / (na * nb)
+        z = (cos - mean) / std
+        value += z * z
+        da = b / (na * nb) - cos * a / na**2
+        db = a / (na * nb) - cos * b / nb**2
+        G[i] += 2.0 * z / std * da
+        G[k] += 2.0 * z / std * db
+        G[j] -= 2.0 * z / std * (da + db)
+    grad = np.zeros((n_cls, int(np.prod(p.dims))))
+    for c in range(1, n_cls):
+        if np.isfinite(m[c, 0]) and G[c].any():
+            mass, _, d = _dense_moments(p, c)
+            grad[c] = (G[c] @ d) / mass
+    return value, grad.reshape(p.data.shape)
 
 
 def central_difference(f, x, h=1e-5):
@@ -164,3 +269,24 @@ def random_label_volume(rng, dims, n_blobs=3, classes=(1, 2, 3, 4, 5, 6, 7)):
         hi = [int(rng.integers(lo[a] + 1, dims[a] + 1)) for a in range(3)]
         lab[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = c
     return lab
+
+
+def soft_blob_case(seed, dims, spacing, offset, corner_class=None):
+    """Random soft probabilities: each foreground class a blurred blob.
+
+    Every class peaks around its own random centre, so centroids sit mm
+    apart. With ``corner_class`` that class keeps only a little mass,
+    confined to the 2x2x2 corner at the first voxel.
+    """
+    from cardioprior import ProbVolume, softmax
+
+    rng = np.random.default_rng(seed)
+    idx = np.indices(dims).astype(np.float64)
+    logits = 0.5 * rng.standard_normal((8,) + tuple(dims))
+    for c in range(1, 8):
+        centre = rng.uniform(0.0, np.asarray(dims) - 1.0)
+        logits[c] -= 0.4 * np.sqrt(((idx - centre[:, None, None, None]) ** 2).sum(axis=0))
+    if corner_class is not None:
+        logits[corner_class] = -40.0
+        logits[corner_class, :2, :2, :2] = 0.0
+    return ProbVolume(softmax(logits), spacing, offset)

@@ -6,7 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from cardioprior import Volume3, __version__, load_atlas, load_model, load_stats, read_volume, write_volume
+from cardioprior import (
+    InvalidStats,
+    Volume3,
+    __version__,
+    load_atlas,
+    load_model,
+    load_stats,
+    read_volume,
+    write_volume,
+)
 from cardioprior.cli import main
 
 MANIFEST_KEYS = {"command", "version", "timestamp", "parameters", "inputs", "outputs"}
@@ -145,6 +154,40 @@ class TestExitCodes:
         rc = main(["stats", "--labels", str(labels), "--out", str(tmp_path / "s.json")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+    def test_data_file_outside_header_dir_is_typed_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        write_volume(Volume3(np.ones((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0)),
+                     tmp_path / "case_000_label.mhd")
+        (labels / "case_000_label.mhd").write_text(
+            (tmp_path / "case_000_label.mhd").read_text().replace(
+                "= case_000_label.raw", "= ../case_000_label.raw"))
+        rc = main(["stats", "--labels", str(labels), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: MalformedHeader:")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("classes", "volume_std", -5.0),
+        ("classes", "volume_std", float("nan")),
+        ("classes", "volume_std", float("inf")),
+        ("pairs", "std", -1.0),
+        ("triples", "cos_std", float("nan")),
+        (None, "schema", "shape-stats/0"),
+    ])
+    def test_invalid_stats_file_is_typed_error(self, pipeline, tmp_path, capsys,
+                                               section, key, value):
+        doc = json.loads(pipeline["stats_path"].read_text())
+        (doc if section is None else doc[section][0])[key] = value
+        assert doc["classes"][0]["n"] > 0
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InvalidStats):
+            load_stats(bad)
+        rc = main(["train", "--data", str(pipeline["train"]), "--stats", str(bad),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidStats:")
 
     def test_eval_shape_mismatch(self, tmp_path, capsys):
         small = Volume3(np.ones((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0))

@@ -25,7 +25,7 @@ from cardioprior import (
 )
 from cardioprior.losses import CE_CLAMP
 from conftest import label_volume
-from oracles import dense_gdice_ce
+from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
 
 
 def stats_for(p):
@@ -240,6 +240,56 @@ class TestMomentLoss:
         p = one_hot(two_class_labels())
         with pytest.raises(NoUsableStats):
             moment_loss(p, hand_stats())
+
+
+#: (seed, dims, spacing, offset, low-mass corner class) of the oracle instances
+ORACLE_CASES = [
+    (1, (9, 8, 7), (1.3, 0.8, 1.1), (-40.0, 25.0, 7.5), None),
+    (2, (8, 9, 10), (1.5, 1.0, 0.75), (1e4, 1e4, 1e4), None),
+    (3, (10, 8, 9), (0.9, 1.2, 1.0), (5.0, -3.0, 2.0), 7),
+    (4, (8, 8, 8), (1.1, 1.1, 1.4), (1e4, -1e4, 1e4), 4),
+]
+
+
+def shifted_stats(p):
+    """Stats a few mm and a few z-scores away from the case's own descriptors."""
+    d = case_descriptor(p)
+    sign = np.where(np.arange(N_CLASSES) % 2 == 0, 1.0, -1.0)
+    return hand_stats(
+        centroid_mean=d.soft_centroid + np.outer(sign, (1.5, -1.0, 2.0)),
+        second_moment_mean=d.second_moment * (1.0 + 0.2 * sign)[:, None, None],
+        class_n=np.full(N_CLASSES, 3),
+        pair_stats={k: (1.1 * v + 0.5, 1.0, 3) for k, v in d.pair_distance.items()},
+        triple_stats={k: (0.8 * v, 0.2, 3) for k, v in d.triple_cosine.items()},
+    )
+
+
+class TestDenseOracles:
+    """The grid-basis gradients against the per-voxel centred formulas.
+
+    Instances include grids 1e4 mm from the origin and a class with a few
+    voxels of mass in a grid corner. At 1e4 mm one ulp of a world centroid
+    is 1.8e-12 mm, so the stats sit mm away: a 1e-12 relative gate then
+    measures the loss, not the rounding of its reference point.
+    """
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
+    @pytest.mark.parametrize("fn, oracle", [(moment_loss, dense_moment_loss),
+                                            (relation_loss, dense_relation_loss)],
+                             ids=["moment", "relation"])
+    def test_matches_per_voxel_formulas(self, case, fn, oracle):
+        p = soft_blob_case(*case)
+        stats = shifted_stats(p)
+        ev = fn(p, stats)
+        value, grad = oracle(p, stats)
+        assert abs(ev.value - value) <= 1e-12 * abs(value)
+        assert np.abs(ev.grad - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    def test_low_mass_corner_class_is_scored(self):
+        p = soft_blob_case(*ORACLE_CASES[3])
+        assert 1.0 < p.data[4].sum() < 5.0
+        ev = moment_loss(p, shifted_stats(p))
+        assert ev.terms["moment_second_RA"] > 0.0 and np.any(ev.grad[4])
 
 
 class TestRelationLoss:

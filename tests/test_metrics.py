@@ -7,11 +7,15 @@ from cardioprior import (
     evaluate_case,
     overlap,
     surface_distances,
-    surface_distances_bruteforce,
     surface_voxels,
 )
 from conftest import label_volume
-from oracles import brute_overlap, brute_surface_metrics, random_label_volume
+from oracles import (
+    brute_overlap,
+    brute_surface_metrics,
+    random_label_volume,
+    surface_distances_bruteforce,
+)
 
 
 class TestOverlap:

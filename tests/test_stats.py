@@ -19,8 +19,9 @@ from cardioprior import (
     soft_second_moment,
     soft_volume,
 )
+from cardioprior.stats import grid_basis
 from conftest import label_volume
-from oracles import brute_soft_centroid, brute_soft_second_moment
+from oracles import brute_soft_centroid, brute_soft_second_moment, soft_blob_case
 
 
 def soft_map(rng, dims=(5, 4, 3), spacing=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
@@ -102,6 +103,39 @@ class TestSoftSecondMoment:
             assert np.abs(M - M.T).max() == 0.0
             assert np.linalg.eigvalsh(M).min() > -1e-10
             assert np.abs(M - brute_soft_second_moment(p, c)).max() < 1e-12
+
+
+class TestGridBasis:
+    def test_far_offset_matches_bruteforce(self):
+        # the oracle works in world coordinates: near 1e4 mm each carries
+        # up to 1 ulp = 1.8e-12 mm, which bounds how well it can agree
+        p = soft_blob_case(4, (8, 8, 8), (1.1, 1.1, 1.4), (1e4, -1e4, 1e4), corner_class=4)
+        for c in FOREGROUND_CLASSES:
+            M = soft_second_moment(p, c)
+            assert np.abs(M - M.T).max() == 0.0
+            assert np.abs(M - brute_soft_second_moment(p, c)).max() < 1e-11
+
+    def test_basis_is_read_only(self):
+        basis = grid_basis((5, 4, 3), (1.0, 2.0, 0.5))
+        assert basis.shape == (10, 60) and not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[1, 0] = 0.0
+
+    def test_alternating_grids_match_fresh_computation(self):
+        cases = [soft_blob_case(s, (n, n, n), (1.2, 0.9, 1.1), (3.0, -2.0, 1.0))
+                 for s, n in ((5, 5), (6, 8))]
+
+        def moments(p):
+            d = case_descriptor(p)
+            return d.soft_centroid.tobytes(), d.second_moment.tobytes(), d.pair_distance
+
+        grid_basis.cache_clear()
+        fresh = [moments(p) for p in cases]
+        for _ in range(3):
+            for p, want in zip(cases, fresh):
+                assert moments(p) == want
+                grid_basis.cache_clear()
+                assert moments(p) == want
 
 
 class TestRelations:

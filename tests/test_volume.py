@@ -203,6 +203,16 @@ class TestReadVolume:
         with pytest.raises(MalformedHeader):
             read_volume(path)
 
+    @pytest.mark.parametrize("name", ["../vol.raw", "sub/vol.raw", "sub\\vol.raw", "..", "."])
+    def test_data_file_must_be_a_bare_name(self, tmp_path, name):
+        inner = tmp_path / "inner"
+        (inner / "sub").mkdir(parents=True)
+        for d in (tmp_path, inner, inner / "sub"):
+            (d / "vol.raw").write_bytes(bytes(8))
+        path = write_pair(inner, GOOD_HEADER.replace("vol.raw", name), bytes(8))
+        with pytest.raises(MalformedHeader, match="bare file name"):
+            read_volume(path)
+
     def test_payload_order_is_x_fastest(self, tmp_path):
         # index = x + nx*(y + ny*z)
         payload = bytes(range(8))
