@@ -18,7 +18,10 @@ from .errors import (
     EmptySurface,
     GridMismatch,
     InsufficientLandmarks,
+    InvalidAtlas,
     InvalidLabelValue,
+    InvalidLossConfig,
+    InvalidModel,
     InvalidSpacing,
     InvalidStats,
     IoFailure,
@@ -48,7 +51,6 @@ from .align import (
 )
 from .losses import (
     GRADCHECK_LOSSES,
-    MASS_EPSILON,
     LossConfig,
     LossEval,
     default_weights,
@@ -57,7 +59,6 @@ from .losses import (
     load_loss_config,
     moment_loss,
     relation_loss,
-    save_loss_config,
     softmax,
     total_loss,
     volume_loss,
@@ -81,10 +82,8 @@ from .phantom import (
 )
 from .preprocess import (
     FovSpec,
-    Orientation,
     embed_fov,
     foreground_centroid,
-    reorient,
     resample,
     sample_at_world,
 )
@@ -96,6 +95,7 @@ from .report import (
     write_summary_md,
 )
 from .stats import (
+    MASS_EPSILON,
     CaseDescriptor,
     ShapeStats,
     aggregate,
@@ -145,16 +145,16 @@ __all__ = [
     "CardioPriorError", "MalformedHeader", "SizeMismatch",
     "UnsupportedElementType", "InvalidLabelValue", "IoFailure",
     "InvalidSpacing", "EmptyForeground", "InsufficientLandmarks",
-    "DegenerateConfiguration", "VanishingMass", "InvalidStats", "ShapeMismatch",
-    "NotOneHot", "NoUsableStats", "UnknownLoss", "EmptySurface",
-    "DegenerateSpec", "UnknownMode", "GridMismatch", "ArityMismatch",
-    "NonfiniteLoss", "UsageError",
+    "DegenerateConfiguration", "InvalidAtlas", "VanishingMass", "InvalidStats",
+    "ShapeMismatch", "NotOneHot", "NoUsableStats", "UnknownLoss",
+    "InvalidLossConfig", "EmptySurface", "DegenerateSpec", "UnknownMode",
+    "GridMismatch", "ArityMismatch", "NonfiniteLoss", "InvalidModel", "UsageError",
     # volume
     "CLASS_NAMES", "FOREGROUND_CLASSES", "N_CLASSES",
     "Volume3", "ProbVolume", "read_volume", "write_volume",
     "one_hot", "argmax_labels", "voxel_center_grid",
     # preprocess
-    "Orientation", "FovSpec", "reorient", "resample", "sample_at_world",
+    "FovSpec", "resample", "sample_at_world",
     "foreground_centroid", "embed_fov",
     # align
     "RigidTransform", "LandmarkSet", "class_centroids", "procrustes_fit",
@@ -167,7 +167,7 @@ __all__ = [
     # losses
     "LossConfig", "LossEval", "default_weights", "softmax", "gdice_ce",
     "volume_loss", "moment_loss", "relation_loss", "total_loss",
-    "gradcheck", "GRADCHECK_LOSSES", "save_loss_config", "load_loss_config",
+    "gradcheck", "GRADCHECK_LOSSES", "load_loss_config",
     # metrics
     "ClassMetrics", "MetricsReport", "overlap", "surface_voxels",
     "surface_distances", "evaluate_case",

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateConfiguration, InsufficientLandmarks
+from .errors import DegenerateConfiguration, InsufficientLandmarks, InvalidAtlas
 from .preprocess import FovSpec, sample_at_world
 from .volume import (
     CLASS_NAMES,
     FOREGROUND_CLASSES,
     N_CLASSES,
     Volume3,
+    read_json,
     read_volume,
     voxel_center_grid,
     write_volume,
@@ -289,10 +290,9 @@ def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> None:
 
 def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
     atlas_dir = os.fspath(atlas_dir)
-    with open(os.path.join(atlas_dir, "atlas.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(os.path.join(atlas_dir, "atlas.json"), None, InvalidAtlas)
     if manifest.get("classes") != list(CLASS_NAMES):
-        raise ValueError("atlas manifest class roster does not match this build")
+        raise InvalidAtlas("atlas manifest class roster does not match this build")
     fov = FovSpec(
         tuple(manifest["reference_grid"]["grid_size"]),
         manifest["reference_grid"]["spacing_mm"],

@@ -34,6 +34,7 @@ from .trainer import (
     DEFAULT_EPOCHS,
     DEFAULT_STEP_SIZE,
     TrainConfig,
+    experiment_weights,
     feature_names,
     init_model,
     predict,
@@ -268,9 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         inputs.append(args.loss_config)
     else:
         # without an explicit config, train the baseline terms only
-        weights = {k: 0.0 for k in ("volume", "moment_centroid", "moment_second",
-                                    "relation_dist", "relation_angle")}
-        loss_cfg = LossConfig(weights=weights, stats=stats)
+        loss_cfg = LossConfig(weights=experiment_weights("baseline"), stats=stats)
     if args.stats:
         inputs.append(args.stats)
     cfg = TrainConfig(

@@ -51,6 +51,10 @@ class DegenerateConfiguration(CardioPriorError):
     pass
 
 
+class InvalidAtlas(CardioPriorError):
+    """An atlas.json that is not JSON or was built for another class roster."""
+
+
 # soft shape descriptors
 class VanishingMass(CardioPriorError):
     pass
@@ -75,6 +79,10 @@ class NoUsableStats(CardioPriorError):
 
 class UnknownLoss(CardioPriorError):
     pass
+
+
+class InvalidLossConfig(CardioPriorError):
+    """A loss-config file with bad JSON, an unknown schema or key, or a bad weight."""
 
 
 # metrics
@@ -102,6 +110,10 @@ class ArityMismatch(CardioPriorError):
 
 class NonfiniteLoss(CardioPriorError):
     pass
+
+
+class InvalidModel(CardioPriorError):
+    """A model.json that is not JSON or has an unknown schema."""
 
 
 # command line

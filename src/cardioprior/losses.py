@@ -21,15 +21,13 @@ component entirely. The ``terms`` map always sums to ``value``.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss
+from .errors import InvalidLossConfig, NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss
 from .stats import (
-    MASS_EPSILON,
     PAIRS,
     TRIPLES,
     ShapeStats,
@@ -37,10 +35,13 @@ from .stats import (
     case_descriptor,
     relation_geometry,
 )
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3, read_json
 
 #: Probability floor inside the cross-entropy log.
 CE_CLAMP = 1e-12
+
+#: Smoothing term of the Generalized Dice class weights and denominator.
+EPSILON_GD = 1e-6
 
 #: Loss components: name -> (module-level function name, its weight keys).
 #: The function is looked up by name at call time, so a wrapper installed
@@ -61,35 +62,31 @@ def default_weights() -> dict[str, float]:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Term weights plus the shared numerical knobs.
+    """Term weights, merged over the all-one defaults.
 
     ``stats`` is the population reference used by the regularizers; it may
-    stay None when only the baseline terms are enabled.
+    stay None when only the baseline terms are enabled. A rejected weight
+    raises InvalidLossConfig.
     """
 
     weights: dict[str, float] = field(default_factory=default_weights)
     stats: ShapeStats | None = None
-    epsilon_gd: float = 1e-6
-    mass_epsilon: float = MASS_EPSILON
 
     def __post_init__(self) -> None:
         merged = default_weights()
         for k, v in self.weights.items():
             if k not in merged:
-                raise ValueError(f"unknown loss weight {k!r}; valid keys: {WEIGHT_KEYS}")
-            v = float(v)
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"weight {k!r} must be finite and >= 0, got {v}")
-            merged[k] = v
+                raise InvalidLossConfig(f"unknown loss weight {k!r}; valid keys: {WEIGHT_KEYS}")
+            try:
+                w = float(v)
+            except (TypeError, ValueError):
+                w = np.nan
+            if not (np.isfinite(w) and w >= 0.0):
+                raise InvalidLossConfig(f"weight {k!r} must be finite and >= 0, got {v!r}")
+            merged[k] = w
         if not any(v > 0.0 for v in merged.values()):
-            raise ValueError("at least one loss weight must be positive")
-        if not self.epsilon_gd > 0.0:
-            raise ValueError(f"epsilon_gd must be positive, got {self.epsilon_gd}")
-        if not self.mass_epsilon > 0.0:
-            raise ValueError(f"mass_epsilon must be positive, got {self.mass_epsilon}")
+            raise InvalidLossConfig("at least one loss weight must be positive")
         object.__setattr__(self, "weights", merged)
-        object.__setattr__(self, "epsilon_gd", float(self.epsilon_gd))
-        object.__setattr__(self, "mass_epsilon", float(self.mass_epsilon))
 
 
 _DEFAULT_CONFIG = LossConfig()
@@ -150,7 +147,7 @@ def gdice_ce(
     _require_same_shape(p, g)
     w_gd = cfg.weights["gdice"]
     w_ce = cfg.weights["ce"]
-    eps = cfg.epsilon_gd
+    eps = EPSILON_GD
     P = p.data.reshape(N_CLASSES, -1)
     L = g.data.reshape(-1)
     n_vox = P.shape[1]
@@ -243,9 +240,7 @@ def moment_loss(
     """
     w1 = cfg.weights["moment_centroid"]
     w2 = cfg.weights["moment_second"]
-    mom = SoftMoments(
-        p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)], cfg.mass_epsilon
-    )
+    mom = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
     if not mom.present.any():
         raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
     terms: dict[str, float] = {}
@@ -295,9 +290,7 @@ def relation_loss(
     """
     w_d = cfg.weights["relation_dist"]
     w_a = cfg.weights["relation_angle"]
-    mom = SoftMoments(
-        p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)], cfg.mass_epsilon
-    )
+    mom = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
     if int(mom.present.sum()) < 2:
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
 
@@ -555,26 +548,12 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
 # Loss-config file format (stats are referenced separately, never embedded)
 
 
-def save_loss_config(cfg: LossConfig, path: str | os.PathLike) -> None:
-    doc = {
-        "schema": "loss-config/1",
-        "weights": cfg.weights,
-        "epsilon_gd": cfg.epsilon_gd,
-        "mass_epsilon": cfg.mass_epsilon,
-    }
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_loss_config(path: str | os.PathLike, stats: ShapeStats | None = None) -> LossConfig:
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "loss-config/1":
-        raise ValueError(f"unrecognized loss config schema in {path}")
-    return LossConfig(
-        weights=dict(doc["weights"]),
-        stats=stats,
-        epsilon_gd=doc.get("epsilon_gd", 1e-6),
-        mass_epsilon=doc.get("mass_epsilon", MASS_EPSILON),
-    )
+    """Read a loss-config file: exactly ``schema`` and ``weights``."""
+    doc = read_json(path, "loss-config/1", InvalidLossConfig)
+    if set(doc) != {"schema", "weights"} or not isinstance(doc["weights"], dict):
+        raise InvalidLossConfig(
+            f"loss config {path} must hold exactly 'schema' and a 'weights' object, "
+            f"got keys {sorted(doc)}"
+        )
+    return LossConfig(weights=doc["weights"], stats=stats)

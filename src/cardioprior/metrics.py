@@ -75,27 +75,22 @@ def surface_voxels(labels: Volume3, c: int) -> np.ndarray:
 
 
 def surface_distances(
-    pred: Volume3,
-    gt: Volume3,
-    c: int,
-    spacing: tuple[float, float, float] | None = None,
-    *,
-    with_hd95: bool = False,
+    pred: Volume3, gt: Volume3, c: int, *, with_hd95: bool = False
 ) -> tuple[float, ...]:
     """HD and ASSD (mm) between the class-c surfaces, distance-transform route.
 
-    ``with_hd95`` appends the optional robust variant, the max of the
-    directed 95th percentiles, taken from the same distance arrays.
+    Distances are measured in the volumes' shared spacing. ``with_hd95``
+    appends the optional robust variant, the max of the directed 95th
+    percentiles, taken from the same distance arrays.
     """
     _require_same_grid(pred, gt)
-    sp = tuple(float(s) for s in (spacing if spacing is not None else pred.spacing))
     sp_mask = _surface_mask(pred, c)
     sg_mask = _surface_mask(gt, c)
     n_p, n_g = int(sp_mask.sum()), int(sg_mask.sum())
     if n_p == 0 or n_g == 0:
         raise EmptySurface(f"class {c} has an empty surface (pred {n_p}, gt {n_g} voxels)")
-    dt_g = ndimage.distance_transform_edt(~sg_mask, sampling=sp)
-    dt_p = ndimage.distance_transform_edt(~sp_mask, sampling=sp)
+    dt_g = ndimage.distance_transform_edt(~sg_mask, sampling=pred.spacing)
+    dt_p = ndimage.distance_transform_edt(~sp_mask, sampling=pred.spacing)
     d_pg = dt_g[sp_mask]
     d_gp = dt_p[sg_mask]
     hd = max(float(d_pg.max()), float(d_gp.max()))
@@ -146,20 +141,17 @@ class MetricsReport:
 
 
 def evaluate_case(
-    pred: Volume3,
-    gt: Volume3,
-    spacing: tuple[float, float, float] | None = None,
-    case_id: str = "",
-    include_hd95: bool = False,
+    pred: Volume3, gt: Volume3, case_id: str = "", include_hd95: bool = False
 ) -> MetricsReport:
     """All four metrics per foreground class plus macro averages.
+
+    Distances are in the volumes' own spacing, which the two must share.
 
     Macro averages run over classes nonempty in ground truth; metrics that
     are absent for such a class (surface distances when the prediction is
     empty) are excluded from their average rather than counted as 0.
     """
     _require_same_grid(pred, gt)
-    sp = tuple(float(s) for s in (spacing if spacing is not None else pred.spacing))
     per_class: dict[int, ClassMetrics] = {}
     for c in FOREGROUND_CLASSES:
         n_p = int((pred.data == c).sum())
@@ -168,9 +160,9 @@ def evaluate_case(
         hd = assd = hd95 = None
         if n_p > 0 and n_g > 0:
             if include_hd95:
-                hd, assd, hd95 = surface_distances(pred, gt, c, sp, with_hd95=True)
+                hd, assd, hd95 = surface_distances(pred, gt, c, with_hd95=True)
             else:
-                hd, assd = surface_distances(pred, gt, c, sp)
+                hd, assd = surface_distances(pred, gt, c)
         per_class[c] = ClassMetrics(dice, jaccard, hd, assd, n_g, n_p, hd95)
 
     macro: dict[str, float | None] = {}
@@ -179,4 +171,4 @@ def evaluate_case(
         vals = [getattr(per_class[c], key) for c in gt_present]
         vals = [v for v in vals if v is not None]
         macro[key] = float(np.mean(vals)) if vals else None
-    return MetricsReport(case_id=case_id, spacing=sp, per_class=per_class, macro=macro)
+    return MetricsReport(case_id=case_id, spacing=pred.spacing, per_class=per_class, macro=macro)

@@ -22,7 +22,7 @@ from scipy import ndimage
 
 from .errors import DegenerateSpec, InvalidLabelValue, UnknownMode
 from .preprocess import FovSpec
-from .volume import FOREGROUND_CLASSES, N_CLASSES, Volume3, voxel_center_grid
+from .volume import FOREGROUND_CLASSES, Volume3, voxel_center_grid
 
 
 @dataclass(frozen=True)

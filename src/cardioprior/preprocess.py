@@ -1,4 +1,4 @@
-"""Geometric normalization: reorientation, resampling, centering, FOV embedding.
+"""Geometric normalization: resampling, centering, FOV embedding.
 
 All sampling is done at voxel-center world coordinates. Points falling outside
 the source extent take the constant fill value (0 = background for labels,
@@ -19,33 +19,6 @@ from .errors import EmptyForeground, InvalidSpacing
 from .volume import Volume3, voxel_center_grid
 
 _SNAP = 1e-9  # voxels
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """Axis relabeling: output axis ``a`` takes input axis ``axis_permutation[a]``.
-
-    A flipped axis mirrors its world coordinate through the origin
-    (``c -> -c``), so composing an orientation with its inverse is an exact
-    identity on data and metadata.
-    """
-
-    axis_permutation: tuple[int, int, int] = (0, 1, 2)
-    flips: tuple[bool, bool, bool] = (False, False, False)
-
-    def __post_init__(self) -> None:
-        if sorted(self.axis_permutation) != [0, 1, 2]:
-            raise ValueError(f"axis_permutation must be a permutation of (0,1,2), got {self.axis_permutation}")
-        object.__setattr__(self, "axis_permutation", tuple(int(a) for a in self.axis_permutation))
-        object.__setattr__(self, "flips", tuple(bool(f) for f in self.flips))
-
-    def inverse(self) -> "Orientation":
-        perm = self.axis_permutation
-        inv = [0, 0, 0]
-        for a in range(3):
-            inv[perm[a]] = a
-        flips = tuple(self.flips[inv[b]] for b in range(3))
-        return Orientation(tuple(inv), flips)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -71,27 +44,6 @@ class FovSpec:
     def origin_centered_offset(self) -> tuple[float, float, float]:
         """Offset placing the grid's world center at the origin."""
         return tuple(-self.spacing_mm * (n - 1) / 2.0 for n in self.grid_size)  # type: ignore[return-value]
-
-
-def reorient(v: Volume3, o: Orientation) -> Volume3:
-    """Permute/flip the volume axes, keeping metadata consistent.
-
-    Spacing is permuted with the axes. A flip reverses the data along the
-    axis and negates that axis's world coordinates, so the new offset is
-    ``-(old_offset + old_spacing * (n - 1))``.
-    """
-    perm = o.axis_permutation
-    data = np.transpose(v.data, perm)
-    spacing = [v.spacing[perm[a]] for a in range(3)]
-    offset = []
-    for a in range(3):
-        p = perm[a]
-        if o.flips[a]:
-            data = np.flip(data, axis=a)
-            offset.append(-(v.offset[p] + v.spacing[p] * (v.dims[p] - 1)))
-        else:
-            offset.append(v.offset[p])
-    return Volume3(np.ascontiguousarray(data), tuple(spacing), tuple(offset))
 
 
 def sample_at_world(v: Volume3, points: np.ndarray, mode: str) -> np.ndarray:

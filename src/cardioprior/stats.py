@@ -27,7 +27,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidStats, VanishingMass
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume
+from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, read_json
 
 #: Soft-mass floor (in voxels of probability mass) below which moment
 #: quantities are reported absent instead of risking near-zero denominators.
@@ -84,15 +84,14 @@ class SoftMoments:
     far the grid sits from the origin.
     """
 
-    def __init__(self, p: ProbVolume, classes=range(N_CLASSES),
-                 mass_epsilon: float = MASS_EPSILON) -> None:
+    def __init__(self, p: ProbVolume, classes=range(N_CLASSES)) -> None:
         self.basis = grid_basis(p.dims, p.spacing)
         centre = np.add(p.offset, np.multiply(p.spacing, np.subtract(p.dims, 1) / 2.0))
         raw = p.data.reshape(N_CLASSES, -1) @ self.basis.T
         self.mass = raw[:, 0]
         self.present = np.zeros(N_CLASSES, dtype=bool)
         self.present[list(classes)] = True
-        self.present &= self.mass >= mass_epsilon
+        self.present &= self.mass >= MASS_EPSILON
         k = self.present
         mass, first = self.mass[k], raw[k, 1:4]
         mu = first / mass[:, None]
@@ -107,10 +106,10 @@ class SoftMoments:
         self.second_moment[k] = M
 
 
-def _class_moments(p: ProbVolume, c: int, mass_epsilon: float) -> SoftMoments:
-    mom = SoftMoments(p, (c,), mass_epsilon)
+def _class_moments(p: ProbVolume, c: int) -> SoftMoments:
+    mom = SoftMoments(p, (c,))
     if not mom.present[c]:
-        raise VanishingMass(f"class {c} has soft mass {mom.mass[c]:g} < {mass_epsilon:g}")
+        raise VanishingMass(f"class {c} has soft mass {mom.mass[c]:g} < {MASS_EPSILON:g}")
     return mom
 
 
@@ -124,14 +123,14 @@ def soft_volume(p: ProbVolume, c: int) -> float:
     return soft_mass(p, c) * p.voxel_volume
 
 
-def soft_centroid(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> np.ndarray:
+def soft_centroid(p: ProbVolume, c: int) -> np.ndarray:
     """Probability-weighted mean world coordinate of class c (mm)."""
-    return _class_moments(p, c, mass_epsilon).centroid[c]
+    return _class_moments(p, c).centroid[c]
 
 
-def soft_second_moment(p: ProbVolume, c: int, mass_epsilon: float = MASS_EPSILON) -> np.ndarray:
+def soft_second_moment(p: ProbVolume, c: int) -> np.ndarray:
     """Central second moment matrix (3x3, mm^2) of class c."""
-    return _class_moments(p, c, mass_epsilon).second_moment[c]
+    return _class_moments(p, c).second_moment[c]
 
 
 #: Every relation, as class ids: 21 pairs (i, j) with i < j, and 105
@@ -194,9 +193,9 @@ class CaseDescriptor:
     triple_cosine: dict[TripleKey, float] = field(default_factory=dict)
 
 
-def case_descriptor(p: ProbVolume, mass_epsilon: float = MASS_EPSILON) -> CaseDescriptor:
+def case_descriptor(p: ProbVolume) -> CaseDescriptor:
     """Extract all soft descriptors of one probability volume."""
-    mom = SoftMoments(p, FOREGROUND_CLASSES, mass_epsilon)
+    mom = SoftMoments(p, FOREGROUND_CLASSES)
     present = mom.present
     vols = np.where(present, mom.mass * p.voxel_volume, np.nan)
     # relations are translation invariant: take them about the grid centre
@@ -328,11 +327,8 @@ def _std(value, what: str) -> float:
 
 
 def load_stats(path: str | os.PathLike) -> ShapeStats:
-    """Read stats.json; a bad schema, class name or std raises InvalidStats."""
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "shape-stats/1":
-        raise InvalidStats(f"unrecognized stats schema {doc.get('schema')!r} in {path}")
+    """Read stats.json; bad JSON, a bad schema, class name or std raises InvalidStats."""
+    doc = read_json(path, "shape-stats/1", InvalidStats)
     vol_mean = np.full(N_CLASSES, np.nan)
     vol_std = np.full(N_CLASSES, np.nan)
     cent_mean = np.full((N_CLASSES, 3), np.nan)

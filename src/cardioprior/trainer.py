@@ -26,11 +26,11 @@ from scipy import ndimage
 
 from ._version import __version__
 from .align import HeatmapAtlas
-from .errors import ArityMismatch, GridMismatch, NonfiniteLoss
-from .losses import LossConfig, softmax, total_loss
+from .errors import ArityMismatch, GridMismatch, InvalidModel, NonfiniteLoss
+from .losses import WEIGHT_KEYS, LossConfig, softmax, total_loss
 from .preprocess import FovSpec
 from .stats import ShapeStats, case_descriptor
-from .volume import CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, one_hot
+from .volume import CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, one_hot, read_json
 
 #: Pinned descent step, calibrated on the 48-cube phantom fixture so the
 #: baseline trace decreases strictly over its first 20 epochs and the
@@ -61,9 +61,7 @@ def experiment_weights(config: str) -> dict[str, float]:
     """Full weight map for one of the named configs (baseline terms at 1)."""
     if config not in EXPERIMENT_WEIGHTS:
         raise ValueError(f"unknown experiment config {config!r}; have {sorted(EXPERIMENT_WEIGHTS)}")
-    weights = dict.fromkeys(
-        ("volume", "moment_centroid", "moment_second", "relation_dist", "relation_angle"), 0.0
-    )
+    weights = dict.fromkeys(WEIGHT_KEYS, 0.0)
     weights["gdice"] = weights["ce"] = 1.0
     weights.update(EXPERIMENT_WEIGHTS[config])
     return weights
@@ -303,10 +301,7 @@ def save_model(model: MicroModel, path: str | os.PathLike, training: dict | None
 
 
 def load_model(path: str | os.PathLike) -> MicroModel:
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != "micro-model/1":
-        raise ValueError(f"unrecognized model schema in {path}")
+    doc = read_json(path, "micro-model/1", InvalidModel)
     aux = doc["aux_weights"]
     return MicroModel(
         np.asarray(doc["weights"], dtype=np.float64),

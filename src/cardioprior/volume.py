@@ -19,13 +19,15 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
+    CardioPriorError,
     InvalidLabelValue,
     InvalidSpacing,
     IoFailure,
@@ -98,10 +100,6 @@ class Volume3:
         """Volume of one voxel in mm^3."""
         sx, sy, sz = self.spacing
         return sx * sy * sz
-
-    def world_coordinates(self) -> np.ndarray:
-        """World coordinates of every voxel center, shape (3, nx, ny, nz)."""
-        return voxel_center_grid(self.dims, self.spacing, self.offset)
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def read_volume(path: str | os.PathLike) -> Volume3:
     dtype = _ELEMENT_TYPES[eltype]
 
     data_file = fields["ElementDataFile"]
-    if data_file in ("", ".", "..") or "/" in data_file or "\\" in data_file:
+    if data_file in ("", ".", "..") or any(ch in data_file for ch in "/\\\x00"):
         raise MalformedHeader(f"ElementDataFile must be a bare file name, got {data_file!r}")
     raw_path = os.path.join(os.path.dirname(path), data_file)
     try:
@@ -289,3 +287,27 @@ def read_volume(path: str | os.PathLike) -> Volume3:
     flat = np.frombuffer(payload, dtype=dtype)
     data = flat.reshape(dims, order="F").astype(dtype.newbyteorder("="), copy=True)
     return Volume3(data, spacing, offset)
+
+
+def read_json(path: str | os.PathLike, schema: str | None,
+              error: type[CardioPriorError]) -> dict:
+    """One JSON object from a UTF-8 file, checked against its schema tag.
+
+    An unreadable file raises IoFailure; text that is not UTF-8 JSON, a
+    document that is not an object, or a ``schema`` other than the one
+    given (when one is given) raises ``error``.
+    """
+    try:
+        with open(os.fspath(path), "rb") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    try:
+        doc = json.loads(text.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise error(f"{path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path} does not hold a JSON object")
+    if schema is not None and doc.get("schema") != schema:
+        raise error(f"unrecognized schema {doc.get('schema')!r} in {path}, expected {schema!r}")
+    return doc

@@ -6,6 +6,7 @@ from cardioprior import (
     DegenerateConfiguration,
     FovSpec,
     InsufficientLandmarks,
+    InvalidAtlas,
     Jitter,
     LandmarkSet,
     PhantomSpec,
@@ -222,3 +223,8 @@ class TestAtlas:
         for key, T in atlas.transforms.items():
             assert np.abs(back.transforms[key].rotation - T.rotation).max() < 1e-15
             assert np.abs(back.transforms[key].translation - T.translation).max() < 1e-15
+
+    def test_foreign_class_roster_rejected(self, tmp_path):
+        (tmp_path / "atlas.json").write_text('{"classes": ["background", "LV"]}')
+        with pytest.raises(InvalidAtlas, match="class roster"):
+            load_atlas(tmp_path)

@@ -167,6 +167,54 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: MalformedHeader:")
 
+    def test_nul_in_data_file_name_is_typed_error(self, tmp_path, capsys):
+        labels = tmp_path / "labels"
+        labels.mkdir()
+        mhd = labels / "case_000_label.mhd"
+        write_volume(Volume3(np.ones((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0)), mhd)
+        mhd.write_text(mhd.read_text().replace("= case_000_label.raw", "= case_000\x00.raw"))
+        rc = main(["stats", "--labels", str(labels), "--out", str(tmp_path / "s.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: MalformedHeader:")
+
+    @pytest.mark.parametrize("doc", [
+        {"schema": "loss-config/0", "weights": {}},
+        {"schema": "loss-config/1", "weights": {"ce": -1}},
+        {"schema": "loss-config/1", "weights": {"bogus": 1.0}},
+        {"schema": "loss-config/1", "weights": {"ce": "high"}},
+        {"schema": "loss-config/1", "weights": [1.0]},
+        {"schema": "loss-config/1"},
+        {"schema": "loss-config/1", "weights": {}, "epsilon_gd": 0},
+    ])
+    def test_invalid_loss_config_is_typed_error(self, pipeline, tmp_path, capsys, doc):
+        bad = tmp_path / "loss.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["train", "--data", str(pipeline["train"]), "--loss-config", str(bad),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidLossConfig:")
+
+    @pytest.mark.parametrize("flag, content, error", [
+        ("--stats", None, "IoFailure"),
+        ("--loss-config", None, "IoFailure"),
+        ("--atlas", None, "IoFailure"),
+        ("--stats", b"{not json", "InvalidStats"),
+        ("--loss-config", b"\xff\xfe{}", "InvalidLossConfig"),
+        ("--atlas", b"[]", "InvalidAtlas"),
+    ])
+    def test_unreadable_json_input_is_typed_error(self, pipeline, tmp_path, capsys,
+                                                  flag, content, error):
+        # content None: the file (for --atlas, the atlas.json in the directory) is missing
+        path = tmp_path / "input"
+        if flag == "--atlas":
+            path.mkdir()
+        if content is not None:
+            (path / "atlas.json" if flag == "--atlas" else path).write_bytes(content)
+        rc = main(["train", "--data", str(pipeline["train"]), flag, str(path),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {error}:")
+
     @pytest.mark.parametrize("section, key, value", [
         ("classes", "volume_std", -5.0),
         ("classes", "volume_std", float("nan")),

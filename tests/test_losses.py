@@ -4,6 +4,7 @@ import pytest
 from cardioprior import (
     FOREGROUND_CLASSES,
     N_CLASSES,
+    InvalidLossConfig,
     LossConfig,
     NoUsableStats,
     NotOneHot,
@@ -23,7 +24,7 @@ from cardioprior import (
     total_loss,
     volume_loss,
 )
-from cardioprior.losses import CE_CLAMP
+from cardioprior.losses import CE_CLAMP, EPSILON_GD
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
 
@@ -82,15 +83,15 @@ class TestLossConfig:
         assert cfg.weights["gdice"] == 1.0
 
     def test_rejects_unknown_key(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLossConfig):
             LossConfig(weights={"boundary": 1.0})
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLossConfig):
             LossConfig(weights={"ce": -0.1})
 
     def test_rejects_all_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidLossConfig):
             LossConfig(weights={k: 0.0 for k in default_weights()})
 
 
@@ -159,7 +160,7 @@ class TestGdiceCeLabelPath:
         p = ProbVolume(P.reshape((N_CLASSES,) + dims), lab.spacing, lab.offset)
         w = {"gdice": float(rng.uniform(0.5, 2.0)), "ce": float(rng.uniform(0.5, 2.0))}
         cfg = LossConfig(weights=w)
-        value, terms, grad = dense_gdice_ce(p, lab, w["gdice"], w["ce"], cfg.epsilon_gd, CE_CLAMP)
+        value, terms, grad = dense_gdice_ce(p, lab, w["gdice"], w["ce"], EPSILON_GD, CE_CLAMP)
         ev = gdice_ce(p, lab, cfg)
         assert ev.value == pytest.approx(value, rel=1e-12, abs=0.0)
         for key in terms:

@@ -1,0 +1,64 @@
+"""Static checks of the package surface, written with the standard library only.
+
+No module imports a name it never uses, and ``cardioprior.__all__`` is
+exactly the package's public namespace.
+"""
+
+import __future__
+import ast
+import pathlib
+import types
+
+import pytest
+
+import cardioprior
+
+SRC = pathlib.Path(cardioprior.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Top-level import bindings (name -> line), ``from __future__`` excluded."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere, plus the re-exports listed in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_all_names_resolve():
+    missing = [n for n in cardioprior.__all__ if not hasattr(cardioprior, n)]
+    assert not missing
+    assert len(set(cardioprior.__all__)) == len(cardioprior.__all__)
+
+
+def test_every_public_attribute_is_in_all():
+    public = {
+        name for name, value in vars(cardioprior).items()
+        if not name.startswith("_")
+        and not isinstance(value, types.ModuleType)
+        and value is not __future__.annotations
+    }
+    assert public - set(cardioprior.__all__) == set()

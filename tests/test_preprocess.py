@@ -5,11 +5,9 @@ from cardioprior import (
     EmptyForeground,
     FovSpec,
     InvalidSpacing,
-    Orientation,
     Volume3,
     embed_fov,
     foreground_centroid,
-    reorient,
     resample,
     sample_at_world,
 )
@@ -19,44 +17,6 @@ from oracles import brute_hard_centroid
 
 def float_volume(data, spacing=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
     return Volume3(np.asarray(data, dtype=np.float32), spacing, offset)
-
-
-class TestOrientation:
-    def test_identity_is_noop(self, rng):
-        v = float_volume(rng.standard_normal((3, 4, 5)), (1.0, 2.0, 3.0), (1.0, -2.0, 0.5))
-        out = reorient(v, Orientation())
-        assert (out.data == v.data).all()
-        assert out.spacing == v.spacing and out.offset == v.offset
-
-    def test_permutation_bookkeeping(self, rng):
-        v = float_volume(rng.standard_normal((3, 4, 5)), (1.0, 2.0, 3.0))
-        out = reorient(v, Orientation(axis_permutation=(2, 0, 1)))
-        assert out.dims == (5, 3, 4)
-        assert out.spacing == (3.0, 1.0, 2.0)
-        assert (out.data == np.transpose(v.data, (2, 0, 1))).all()
-
-    def test_inverse_round_trip(self, rng):
-        v = float_volume(rng.standard_normal((4, 5, 6)), (0.8, 1.1, 2.0), (-3.0, 7.0, 0.0))
-        o = Orientation(axis_permutation=(1, 2, 0), flips=(True, False, True))
-        back = reorient(reorient(v, o), o.inverse())
-        assert (back.data == v.data).all()
-        assert back.spacing == v.spacing
-        assert back.offset == pytest.approx(v.offset)
-
-    def test_flip_world_coordinates_mirror(self):
-        # a flipped axis negates its coordinates, so centroids mirror exactly
-        lab = np.zeros((4, 4, 4), dtype=np.uint8)
-        lab[1, 2, 3] = 1
-        v = label_volume(lab, (1.0, 1.0, 1.0), (10.0, 0.0, 0.0))
-        flipped = reorient(v, Orientation(flips=(True, False, False)))
-        c0 = foreground_centroid(v)
-        c1 = foreground_centroid(flipped)
-        assert c1[0] == pytest.approx(-c0[0])
-        assert c1[1:] == pytest.approx(c0[1:])
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValueError):
-            Orientation(axis_permutation=(0, 0, 1))
 
 
 class TestFovSpec:

@@ -7,6 +7,8 @@ from cardioprior import (
     ArityMismatch,
     FovSpec,
     GridMismatch,
+    InvalidModel,
+    IoFailure,
     Jitter,
     LossConfig,
     NonfiniteLoss,
@@ -287,6 +289,18 @@ class TestSerialization:
         assert back.standardize is False
         np.testing.assert_array_equal(back.weights, model.weights)
         np.testing.assert_array_equal(back.aux_weights, model.aux_weights)
+
+    @pytest.mark.parametrize("content, error", [
+        (None, IoFailure),
+        (b"{not json", InvalidModel),
+        (b'{"schema": "micro-model/0"}', InvalidModel),
+    ])
+    def test_unreadable_model_is_typed_error(self, tmp_path, content, error):
+        path = tmp_path / "m.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(error):
+            load_model(path)
 
     def test_trace_csv_layout(self, tmp_path):
         trace = [

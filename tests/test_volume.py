@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cardioprior import (
@@ -17,6 +17,7 @@ from cardioprior import (
     argmax_labels,
     one_hot,
     read_volume,
+    voxel_center_grid,
     write_volume,
 )
 from conftest import label_volume
@@ -131,7 +132,7 @@ class TestVolume3Validation:
 
     def test_world_coordinates_corner_and_step(self):
         v = Volume3(np.zeros((3, 3, 3), dtype=np.uint8), (2.0, 1.0, 0.5), (-1.0, 0.0, 4.0))
-        xyz = v.world_coordinates()
+        xyz = voxel_center_grid(v.dims, v.spacing, v.offset)
         assert xyz.shape == (3, 3, 3, 3)
         assert tuple(xyz[:, 0, 0, 0]) == (-1.0, 0.0, 4.0)
         assert tuple(xyz[:, 1, 2, 1]) == (1.0, 2.0, 4.5)
@@ -203,7 +204,9 @@ class TestReadVolume:
         with pytest.raises(MalformedHeader):
             read_volume(path)
 
-    @pytest.mark.parametrize("name", ["../vol.raw", "sub/vol.raw", "sub\\vol.raw", "..", "."])
+    @pytest.mark.parametrize(
+        "name", ["../vol.raw", "sub/vol.raw", "sub\\vol.raw", "..", ".", "vol\x00.raw"]
+    )
     def test_data_file_must_be_a_bare_name(self, tmp_path, name):
         inner = tmp_path / "inner"
         (inner / "sub").mkdir(parents=True)
@@ -212,6 +215,28 @@ class TestReadVolume:
         path = write_pair(inner, GOOD_HEADER.replace("vol.raw", name), bytes(8))
         with pytest.raises(MalformedHeader, match="bare file name"):
             read_volume(path)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 12), st.integers(0, 3),
+                                 st.text(max_size=3)), max_size=2),
+        junk=st.binary(max_size=4),
+        payload=st.binary(max_size=80),
+    )
+    def test_mutated_inputs_fail_typed(self, tmp_path, edits, junk, payload):
+        # splice text into header values, append raw bytes and vary the
+        # payload: every failure must be a CardioPriorError
+        lines = GOOD_HEADER.splitlines()
+        for line, at, cut, insert in edits:
+            key, _, value = lines[line].partition(" = ")
+            lines[line] = f"{key} = {value[:at]}{insert}{value[at + cut:]}"
+        path = write_pair(tmp_path, "", payload)
+        path.write_bytes("\n".join(lines).encode() + junk)
+        try:
+            read_volume(path)
+        except CardioPriorError:
+            pass
 
     def test_payload_order_is_x_fastest(self, tmp_path):
         # index = x + nx*(y + ny*z)
