@@ -22,6 +22,7 @@ from .errors import (
     InvalidLabelValue,
     InvalidLossConfig,
     InvalidModel,
+    InvalidReport,
     InvalidSpacing,
     InvalidStats,
     IoFailure,
@@ -148,7 +149,8 @@ __all__ = [
     "DegenerateConfiguration", "InvalidAtlas", "VanishingMass", "InvalidStats",
     "ShapeMismatch", "NotOneHot", "NoUsableStats", "UnknownLoss",
     "InvalidLossConfig", "EmptySurface", "DegenerateSpec", "UnknownMode",
-    "GridMismatch", "ArityMismatch", "NonfiniteLoss", "InvalidModel", "UsageError",
+    "GridMismatch", "ArityMismatch", "NonfiniteLoss", "InvalidModel", "InvalidReport",
+    "UsageError",
     # volume
     "CLASS_NAMES", "FOREGROUND_CLASSES", "N_CLASSES",
     "Volume3", "ProbVolume", "read_volume", "write_volume",

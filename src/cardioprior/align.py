@@ -26,6 +26,7 @@ from .volume import (
     FOREGROUND_CLASSES,
     N_CLASSES,
     Volume3,
+    json_fields,
     read_json,
     read_volume,
     voxel_center_grid,
@@ -290,19 +291,22 @@ def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> None:
 
 def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
     atlas_dir = os.fspath(atlas_dir)
-    manifest = read_json(os.path.join(atlas_dir, "atlas.json"), None, InvalidAtlas)
+    manifest_path = os.path.join(atlas_dir, "atlas.json")
+    manifest = read_json(manifest_path, None, InvalidAtlas)
     if manifest.get("classes") != list(CLASS_NAMES):
         raise InvalidAtlas("atlas manifest class roster does not match this build")
-    fov = FovSpec(
-        tuple(manifest["reference_grid"]["grid_size"]),
-        manifest["reference_grid"]["spacing_mm"],
-    )
+    with json_fields(manifest_path, InvalidAtlas):
+        fov = FovSpec(
+            tuple(manifest["reference_grid"]["grid_size"]),
+            manifest["reference_grid"]["spacing_mm"],
+        )
+        transforms = {}
+        for cid, entry in manifest["transforms"].items():
+            m = np.asarray(entry["matrix"], dtype=np.float64).reshape(3, 4)
+            transforms[cid] = RigidTransform(m[:, :3], m[:, 3], entry["scale"])
+        case_count = manifest["case_count"]
     heatmaps = np.zeros((N_CLASSES,) + tuple(fov.grid_size), dtype=np.float64)
     for c, name in enumerate(CLASS_NAMES):
         vol = read_volume(os.path.join(atlas_dir, f"heatmap_{name}.mhd"))
         heatmaps[c] = vol.data
-    transforms = {}
-    for cid, entry in manifest["transforms"].items():
-        m = np.asarray(entry["matrix"], dtype=np.float64).reshape(3, 4)
-        transforms[cid] = RigidTransform(m[:, :3], m[:, 3], entry["scale"])
-    return HeatmapAtlas(fov, heatmaps, manifest["case_count"], transforms)
+    return HeatmapAtlas(fov, heatmaps, case_count, transforms)

@@ -3,7 +3,8 @@
 Subcommands: prep, stats, atlas, phantom, gradcheck, train, eval, report.
 Every command writes exactly one manifest (parameter echo, input hashes,
 tool version, timestamp, output paths) next to its primary outputs, and
-exits 0 on success, 1 on input/validation errors, 2 on internal errors.
+exits 0 on success, 1 on input/validation errors, 2 on internal errors;
+``--debug`` (before the subcommand) adds the traceback of an internal error.
 All primary outputs are byte-deterministic for fixed inputs; only the
 manifest timestamp varies between identical runs. ``--jobs`` parallelizes
 across cases with an order-preserving map, so results never depend on it.
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
@@ -110,7 +112,7 @@ def _write_manifest(
 
 
 def _params(args: argparse.Namespace) -> dict:
-    skip = {"func"}
+    skip = {"func", "debug"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -400,6 +402,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cardioprior", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error (exit 2)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("prep", help="resample/embed volumes into a fixed FOV")
@@ -481,6 +485,7 @@ def _build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -492,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except Exception as exc:  # noqa: BLE001 - the exit-2 contract
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if getattr(args, "debug", False):
+            print(traceback.format_exc(), end="", file=sys.stderr)
         return 2
 
 

@@ -52,7 +52,7 @@ class DegenerateConfiguration(CardioPriorError):
 
 
 class InvalidAtlas(CardioPriorError):
-    """An atlas.json that is not JSON or was built for another class roster."""
+    """An atlas.json that is not JSON, lacks a key or was built for another class roster."""
 
 
 # soft shape descriptors
@@ -61,7 +61,7 @@ class VanishingMass(CardioPriorError):
 
 
 class InvalidStats(CardioPriorError):
-    """A stats file with an unknown schema, a class-name mismatch or a bad std."""
+    """A stats file with an unknown schema, a missing key, a class-name mismatch or a bad std."""
 
 
 # losses
@@ -90,6 +90,11 @@ class EmptySurface(CardioPriorError):
     pass
 
 
+# method-comparison reports
+class InvalidReport(CardioPriorError):
+    """A run without report_*.json files, or a report that is not JSON with numeric macros."""
+
+
 # phantom generation
 class DegenerateSpec(CardioPriorError):
     pass
@@ -113,7 +118,7 @@ class NonfiniteLoss(CardioPriorError):
 
 
 class InvalidModel(CardioPriorError):
-    """A model.json that is not JSON or has an unknown schema."""
+    """A model.json that is not JSON, has an unknown schema or lacks a key."""
 
 
 # command line

@@ -12,10 +12,12 @@ the per-case report.json files, clearly labeled.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
+
+from .errors import InvalidReport, IoFailure
+from .volume import json_fields, read_json
 
 #: Published reference row (64-cube whole-heart baseline): macro Dice and
 #: Jaccard in percent, HD and ASSD in mm. Static documentation values, not
@@ -48,22 +50,34 @@ def aggregate_run(run_dir: str | os.PathLike) -> dict[str, float | str | None]:
     """Mean macro metrics over the per-case report JSONs in one run directory.
 
     The method name is the directory basename. Cases where a metric is
-    absent are excluded from that metric's mean.
+    absent are excluded from that metric's mean. A run without reports, or
+    a report without a ``macro`` object of numbers, raises InvalidReport.
     """
     run_dir = os.fspath(run_dir)
-    files = sorted(
-        f for f in os.listdir(run_dir) if f.startswith("report_") and f.endswith(".json")
-    )
+    try:
+        names = os.listdir(run_dir)
+    except OSError as exc:
+        raise IoFailure(f"cannot list {run_dir}: {exc}") from exc
+    files = sorted(f for f in names if f.startswith("report_") and f.endswith(".json"))
     if not files:
-        raise FileNotFoundError(f"no report_*.json files in {run_dir}")
-    macros = []
+        raise InvalidReport(f"no report_*.json files in {run_dir}")
+    keys = ("dice", "jaccard", "hd_mm", "assd_mm")
+    values: dict[str, list[float]] = {key: [] for key in keys}
     for f in files:
-        with open(os.path.join(run_dir, f), "r", encoding="utf-8") as fh:
-            macros.append(json.load(fh)["macro"])
+        path = os.path.join(run_dir, f)
+        doc = read_json(path, None, InvalidReport)
+        with json_fields(path, InvalidReport):
+            macro = doc["macro"]
+            for key in keys:
+                value = macro.get(key)
+                if value is None:
+                    continue
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise InvalidReport(f"{path}: macro {key} is {value!r}, not a number")
+                values[key].append(value)
     row: dict[str, float | str | None] = {"method": os.path.basename(os.path.normpath(run_dir))}
-    for key, col in (("dice", "dice_pct"), ("jaccard", "jaccard_pct"),
-                     ("hd_mm", "hd_mm"), ("assd_mm", "assd_mm")):
-        vals = [m[key] for m in macros if m.get(key) is not None]
+    for key, col in zip(keys, COLUMNS):
+        vals = values[key]
         if not vals:
             row[col] = None
         else:

@@ -27,7 +27,9 @@ import numpy as np
 
 from ._version import __version__
 from .errors import InvalidStats, VanishingMass
-from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, read_json
+from .volume import (
+    CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, json_fields, read_json,
+)
 
 #: Soft-mass floor (in voxels of probability mass) below which moment
 #: quantities are reported absent instead of risking near-zero denominators.
@@ -327,34 +329,36 @@ def _std(value, what: str) -> float:
 
 
 def load_stats(path: str | os.PathLike) -> ShapeStats:
-    """Read stats.json; bad JSON, a bad schema, class name or std raises InvalidStats."""
+    """Read stats.json; a bad JSON text, schema, key, class name or std raises InvalidStats."""
     doc = read_json(path, "shape-stats/1", InvalidStats)
     vol_mean = np.full(N_CLASSES, np.nan)
     vol_std = np.full(N_CLASSES, np.nan)
     cent_mean = np.full((N_CLASSES, 3), np.nan)
     mom_mean = np.full((N_CLASSES, 3, 3), np.nan)
     class_n = np.zeros(N_CLASSES, dtype=np.int64)
-    for entry in doc["classes"]:
-        c = int(entry["id"])
-        if CLASS_NAMES[c] != entry["name"]:
-            raise InvalidStats(f"class name mismatch for id {c}: {entry['name']!r}")
-        class_n[c] = entry["n"]
-        if entry["n"] == 0:
-            continue
-        vol_mean[c] = entry["volume_mean"]
-        vol_std[c] = _std(entry["volume_std"], f"volume_std of class {c}")
-        cent_mean[c] = entry["centroid_mean"]
-        mom_mean[c] = np.asarray(entry["second_moment_mean"]).reshape(3, 3)
-    pair_stats = {
-        tuple(e["pair"]): (e["mean"], _std(e["std"], f"std of pair {e['pair']}"), e["n"])
-        for e in doc["pairs"]
-    }
-    triple_stats = {
-        tuple(e["triple"]): (e["cos_mean"], _std(e["cos_std"], f"cos_std of triple {e['triple']}"),
-                             e["n"])
-        for e in doc["triples"]
-    }
+    with json_fields(path, InvalidStats):
+        for entry in doc["classes"]:
+            c = int(entry["id"])
+            if CLASS_NAMES[c] != entry["name"]:
+                raise InvalidStats(f"class name mismatch for id {c}: {entry['name']!r}")
+            class_n[c] = entry["n"]
+            if entry["n"] == 0:
+                continue
+            vol_mean[c] = entry["volume_mean"]
+            vol_std[c] = _std(entry["volume_std"], f"volume_std of class {c}")
+            cent_mean[c] = entry["centroid_mean"]
+            mom_mean[c] = np.asarray(entry["second_moment_mean"]).reshape(3, 3)
+        pair_stats = {
+            tuple(e["pair"]): (e["mean"], _std(e["std"], f"std of pair {e['pair']}"), e["n"])
+            for e in doc["pairs"]
+        }
+        triple_stats = {
+            tuple(e["triple"]): (e["cos_mean"],
+                                 _std(e["cos_std"], f"cos_std of triple {e['triple']}"), e["n"])
+            for e in doc["triples"]
+        }
+        n_cases = doc["n_cases"]
     return ShapeStats(
         vol_mean, vol_std, cent_mean, mom_mean, class_n,
-        pair_stats, triple_stats, doc["n_cases"],
+        pair_stats, triple_stats, n_cases,
     )

@@ -30,7 +30,7 @@ from .errors import ArityMismatch, GridMismatch, InvalidModel, NonfiniteLoss
 from .losses import WEIGHT_KEYS, LossConfig, softmax, total_loss
 from .preprocess import FovSpec
 from .stats import ShapeStats, case_descriptor
-from .volume import CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, one_hot, read_json
+from .volume import CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, json_fields, one_hot, read_json
 
 #: Pinned descent step, calibrated on the 48-cube phantom fixture so the
 #: baseline trace decreases strictly over its first 20 epochs and the
@@ -302,13 +302,14 @@ def save_model(model: MicroModel, path: str | os.PathLike, training: dict | None
 
 def load_model(path: str | os.PathLike) -> MicroModel:
     doc = read_json(path, "micro-model/1", InvalidModel)
-    aux = doc["aux_weights"]
-    return MicroModel(
-        np.asarray(doc["weights"], dtype=np.float64),
-        tuple(doc["feature_names"]),
-        None if aux is None else np.asarray(aux, dtype=np.float64),
-        bool(doc["standardize"]),
-    )
+    with json_fields(path, InvalidModel):
+        aux = doc["aux_weights"]
+        return MicroModel(
+            np.asarray(doc["weights"], dtype=np.float64),
+            tuple(doc["feature_names"]),
+            None if aux is None else np.asarray(aux, dtype=np.float64),
+            bool(doc["standardize"]),
+        )
 
 
 def save_trace_csv(trace: list[dict[str, float]], path: str | os.PathLike) -> None:

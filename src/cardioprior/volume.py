@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,3 +312,20 @@ def read_json(path: str | os.PathLike, schema: str | None,
     if schema is not None and doc.get("schema") != schema:
         raise error(f"unrecognized schema {doc.get('schema')!r} in {path}, expected {schema!r}")
     return doc
+
+
+@contextmanager
+def json_fields(path: str | os.PathLike, error: type[CardioPriorError]):
+    """Raise ``error`` for a key missing from, or a malformed value in, a JSON input.
+
+    Wraps the code that reads fields out of a document from :func:`read_json`:
+    a ``KeyError`` names the missing key, and a ``TypeError``, ``ValueError``,
+    ``AttributeError`` or ``IndexError`` from a value of the wrong type or
+    shape becomes ``error`` too.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise error(f"{path} lacks the key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise error(f"{path} holds a malformed value: {exc}") from exc

@@ -132,6 +132,48 @@ def surface_distances_bruteforce(pred, gt, c):
     return _pairwise_hd_assd(surface_voxels(pred, c) * sp, surface_voxels(gt, c) * sp)
 
 
+def _full_grid_surface_mask(labels, c):
+    """Class-c voxels with a 6-neighbor (or array face) outside the class, on the whole grid."""
+    m = labels.data == c
+    interior = np.ones_like(m)
+    interior[1:] &= m[:-1]
+    interior[:-1] &= m[1:]
+    interior[:, 1:] &= m[:, :-1]
+    interior[:, :-1] &= m[:, 1:]
+    interior[:, :, 1:] &= m[:, :, :-1]
+    interior[:, :, :-1] &= m[:, :, 1:]
+    interior[0] = interior[-1] = False
+    interior[:, 0] = interior[:, -1] = False
+    interior[:, :, 0] = interior[:, :, -1] = False
+    return m & ~interior
+
+
+def full_grid_surface_distances(pred, gt, c, with_hd95=False):
+    """HD, ASSD (and HD95) from distance transforms over the whole grid.
+
+    The uncropped form of ``surface_distances``: same surfaces, same EDT,
+    same reductions, but both masks and both transforms span every voxel.
+    """
+    from scipy import ndimage
+
+    from cardioprior import EmptySurface
+
+    sp_mask = _full_grid_surface_mask(pred, c)
+    sg_mask = _full_grid_surface_mask(gt, c)
+    n_p, n_g = int(sp_mask.sum()), int(sg_mask.sum())
+    if n_p == 0 or n_g == 0:
+        raise EmptySurface(f"class {c} has an empty surface (pred {n_p}, gt {n_g} voxels)")
+    dt_g = ndimage.distance_transform_edt(~sg_mask, sampling=pred.spacing)
+    dt_p = ndimage.distance_transform_edt(~sp_mask, sampling=pred.spacing)
+    d_pg = dt_g[sp_mask]
+    d_gp = dt_p[sg_mask]
+    hd = max(float(d_pg.max()), float(d_gp.max()))
+    assd = (float(d_pg.sum()) + float(d_gp.sum())) / (n_p + n_g)
+    if not with_hd95:
+        return hd, assd
+    return hd, assd, max(float(np.percentile(d_pg, 95.0)), float(np.percentile(d_gp, 95.0)))
+
+
 def dense_gdice_ce(p, labels, w_gd=1.0, w_ce=1.0, eps=1e-6, clamp=1e-12):
     """Generalized Dice + CE and its gradient over a dense one-hot ground truth.
 

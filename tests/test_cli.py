@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cardioprior import (
+    InvalidAtlas,
     InvalidStats,
     Volume3,
     __version__,
@@ -16,6 +17,7 @@ from cardioprior import (
     read_volume,
     write_volume,
 )
+from cardioprior import cli
 from cardioprior.cli import main
 
 MANIFEST_KEYS = {"command", "version", "timestamp", "parameters", "inputs", "outputs"}
@@ -248,19 +250,107 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ShapeMismatch:")
 
-    def test_invalid_report_json_is_internal_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("content", [
+        "{not json", "{}", '{"macro": []}', '{"macro": {"dice": "high"}}',
+        '{"macro": {"hd_mm": "0.5"}}',
+    ])
+    def test_invalid_report_json_is_typed_error(self, tmp_path, capsys, content):
         run = tmp_path / "run"
         run.mkdir()
-        (run / "report_bad.json").write_text("{not json")
+        (run / "report_bad.json").write_text(content)
         rc = main(["report", "--runs", str(run), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("internal error:")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidReport:")
+
+    def test_run_without_reports_is_typed_error(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        for run, error in ((tmp_path / "empty", "InvalidReport"),
+                           (tmp_path / "missing", "IoFailure")):
+            rc = main(["report", "--runs", str(run), "--out", str(tmp_path / "out")])
+            assert rc == 1
+            assert capsys.readouterr().err.startswith(f"error: {error}:")
+
+    @pytest.mark.parametrize("drop", [
+        "classes", "pairs", "triples", "n_cases", "classes.volume_mean", "pairs.mean",
+    ])
+    def test_incomplete_stats_file_is_typed_error(self, pipeline, tmp_path, capsys, drop):
+        doc = json.loads(pipeline["stats_path"].read_text())
+        section, _, key = drop.rpartition(".")
+        del (doc[section][0] if section else doc)[key]
+        bad = tmp_path / "stats.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(InvalidStats, match=repr(key)):
+            load_stats(bad)
+        rc = main(["train", "--data", str(pipeline["train"]), "--stats", str(bad),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidStats:") and repr(key) in err
+
+    @pytest.mark.parametrize("drop", [
+        "reference_grid", "transforms", "case_count", "reference_grid.spacing_mm",
+    ])
+    def test_incomplete_atlas_json_is_typed_error(self, pipeline, tmp_path, capsys, drop):
+        atlas = tmp_path / "atlas"
+        shutil.copytree(pipeline["atlas"], atlas)
+        doc = json.loads((atlas / "atlas.json").read_text())
+        section, _, key = drop.rpartition(".")
+        del (doc[section] if section else doc)[key]
+        (atlas / "atlas.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidAtlas, match=repr(key)):
+            load_atlas(atlas)
+        rc = main(["train", "--data", str(pipeline["train"]), "--atlas", str(atlas),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidAtlas:") and repr(key) in err
+
+    def test_eval_of_a_non_label_volume_is_typed_error(self, tmp_path, capsys):
+        lab = np.zeros((4, 4, 4), dtype=np.uint8)
+        lab[1:3, 1:3, 1:3] = 1
+        write_volume(Volume3(lab.astype(np.float32), (1.0, 1.0, 1.0)), tmp_path / "pred.mhd")
+        write_volume(Volume3(lab, (1.0, 1.0, 1.0)), tmp_path / "gt.mhd")
+        rc = main(["eval", "--pred", str(tmp_path / "pred.mhd"),
+                   "--gt", str(tmp_path / "gt.mhd"), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidLabelValue:")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+
+def _raise_plain_exception(args):
+    raise RuntimeError("boom")
+
+
+class TestInternalErrors:
+    """A plain exception escaping a command is exit 2; --debug adds its traceback."""
+
+    def test_plain_exception_is_internal_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_report", _raise_plain_exception)
+        rc = main(["report", "--runs", "r", "--out", "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    def test_debug_prints_the_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "cmd_report", _raise_plain_exception)
+        rc = main(["--debug", "report", "--runs", "r", "--out", "o"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        head, _, tb = err.partition("\n")
+        assert head == "internal error: RuntimeError: boom"
+        assert tb.startswith("Traceback (most recent call last):\n")
+        assert "_raise_plain_exception" in tb
+        assert tb.endswith("RuntimeError: boom\n")
+
+    def test_debug_is_not_a_manifest_parameter(self, tmp_path):
+        out = tmp_path / "ph"
+        assert main(["--debug", "phantom", "--n", "1", "--size", "16", "--spacing", "6.0",
+                     "--out", str(out)]) == 0
+        assert "debug" not in json.loads((out / "manifest.json").read_text())["parameters"]
 
 
 class TestDeterminism:

@@ -13,6 +13,7 @@ from conftest import label_volume
 from oracles import (
     brute_overlap,
     brute_surface_metrics,
+    full_grid_surface_distances,
     random_label_volume,
     surface_distances_bruteforce,
 )
@@ -117,6 +118,81 @@ class TestSurfaceDistances:
                 assert abs(bhd - ref_hd) < 1e-9
                 assert abs(bassd - ref_assd) < 1e-9
                 assert hd >= assd >= 0.0
+
+
+class TestSurfaceDistancesOnTheClassBox:
+    """The padded per-class box changes no distance: == the full-grid EDT route."""
+
+    SPACING = (1.3, 0.8, 2.1)
+    DIMS = (12, 10, 9)
+
+    def assert_same(self, pred, gt, c):
+        pred, gt = label_volume(pred, self.SPACING), label_volume(gt, self.SPACING)
+        want = full_grid_surface_distances(pred, gt, c, with_hd95=True)
+        assert surface_distances(pred, gt, c, with_hd95=True) == want
+        assert surface_distances(pred, gt, c) == want[:2]
+
+    def test_random_label_volumes(self, rng):
+        checked = 0
+        for _ in range(40):
+            pred, gt = (random_label_volume(rng, self.DIMS, n_blobs=5) for _ in range(2))
+            for c in range(1, 8):
+                if (pred == c).any() and (gt == c).any():
+                    self.assert_same(pred, gt, c)
+                    checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("side", [0, -1])
+    def test_class_touching_an_array_face(self, axis, side):
+        gt = np.zeros(self.DIMS, dtype=np.uint8)
+        gt[3:8, 2:7, 2:6] = 4
+        face = [slice(2, 6)] * 3
+        face[axis] = side
+        gt[tuple(face)] = 4
+        shifted = np.roll(gt, 1, axis=(axis + 1) % 3)
+        off_face = gt.copy()
+        off_face[tuple(face)] = 0
+        for pred in (shifted, off_face):
+            self.assert_same(pred, gt, 4)
+            self.assert_same(gt, pred, 4)
+
+    def test_single_voxel_class(self):
+        gt = np.zeros(self.DIMS, dtype=np.uint8)
+        gt[5, 4, 4] = 2
+        block = np.zeros(self.DIMS, dtype=np.uint8)
+        block[7:10, 1:4, 5:8] = 2
+        corner = np.zeros(self.DIMS, dtype=np.uint8)
+        corner[0, 0, 0] = 2
+        for pred in (gt, block, corner):
+            self.assert_same(pred, gt, 2)
+            self.assert_same(gt, pred, 2)
+
+    def test_class_in_one_volume_only_has_no_surface(self):
+        gt = np.zeros(self.DIMS, dtype=np.uint8)
+        gt[2:5, 3:6, 1:4] = 3
+        pred = np.where(gt == 3, 5, 0).astype(np.uint8)
+        for a, b in ((pred, gt), (gt, pred)):
+            a, b = label_volume(a, self.SPACING), label_volume(b, self.SPACING)
+            for c in (3, 5):
+                with pytest.raises(EmptySurface):
+                    full_grid_surface_distances(a, b, c)
+                with pytest.raises(EmptySurface):
+                    surface_distances(a, b, c)
+
+    def test_two_far_apart_blobs(self):
+        gt = np.zeros(self.DIMS, dtype=np.uint8)
+        gt[0:2, 0:3, 0:2] = 6
+        gt[9:12, 7:10, 6:9] = 6
+        near = gt.copy()
+        near[9:12, 7:10, 6:9] = 0
+        near[1:4, 1:3, 1:3] = 6
+        inner = np.zeros(self.DIMS, dtype=np.uint8)
+        inner[1:3, 1:3, 1:3] = 6
+        inner[8:10, 6:8, 5:7] = 6
+        for pred in (near, inner):
+            self.assert_same(pred, gt, 6)
+            self.assert_same(gt, pred, 6)
 
 
 class TestEvaluateCase:

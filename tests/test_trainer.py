@@ -294,6 +294,7 @@ class TestSerialization:
         (None, IoFailure),
         (b"{not json", InvalidModel),
         (b'{"schema": "micro-model/0"}', InvalidModel),
+        (b'{"schema": "micro-model/1"}', InvalidModel),
     ])
     def test_unreadable_model_is_typed_error(self, tmp_path, content, error):
         path = tmp_path / "m.json"
