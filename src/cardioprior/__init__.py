@@ -22,6 +22,7 @@ from .errors import (
     InvalidLabelValue,
     InvalidLossConfig,
     InvalidModel,
+    InvalidParameter,
     InvalidReport,
     InvalidSpacing,
     InvalidStats,
@@ -150,7 +151,7 @@ __all__ = [
     "ShapeMismatch", "NotOneHot", "NoUsableStats", "UnknownLoss",
     "InvalidLossConfig", "EmptySurface", "DegenerateSpec", "UnknownMode",
     "GridMismatch", "ArityMismatch", "NonfiniteLoss", "InvalidModel", "InvalidReport",
-    "UsageError",
+    "InvalidParameter", "UsageError",
     # volume
     "CLASS_NAMES", "FOREGROUND_CLASSES", "N_CLASSES",
     "Volume3", "ProbVolume", "read_volume", "write_volume",

@@ -12,14 +12,13 @@ center at the origin, so the FOV alone defines the registered space.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateConfiguration, InsufficientLandmarks, InvalidAtlas
+from .errors import DegenerateConfiguration, InsufficientLandmarks, InvalidAtlas, InvalidParameter
 from .preprocess import FovSpec, sample_at_world
 from .volume import (
     CLASS_NAMES,
@@ -30,8 +29,12 @@ from .volume import (
     read_json,
     read_volume,
     voxel_center_grid,
+    write_json,
     write_volume,
 )
+
+#: Schema tag of atlas.json.
+ATLAS_SCHEMA = "heatmap-atlas/1"
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,8 @@ def gpa_align(
     """
     if not landmark_sets:
         raise InsufficientLandmarks("need at least one case")
+    if gpa_iters < 1:
+        raise InvalidParameter(f"gpa_iters must be >= 1, got {gpa_iters}")
     first = landmark_sets[0]
     if int(first.present_mask.sum()) < 3:
         raise InsufficientLandmarks("case 0 must have >= 3 landmarks to seed the reference")
@@ -179,7 +184,7 @@ def gpa_align(
 
     transforms: list[RigidTransform] = [RigidTransform.identity() for _ in landmark_sets]
     objective: list[float] = []
-    for _ in range(max(1, int(gpa_iters))):
+    for _ in range(gpa_iters):
         total = 0.0
         aligned: list[np.ndarray] = []
         for i, lm in enumerate(landmark_sets):
@@ -212,9 +217,9 @@ class HeatmapAtlas:
     def __post_init__(self) -> None:
         hm = np.asarray(self.heatmaps, dtype=np.float64)
         if hm.shape != (N_CLASSES,) + tuple(self.reference_grid.grid_size):
-            raise ValueError(f"heatmaps shape {hm.shape} does not match the reference grid")
+            raise InvalidParameter(f"heatmaps shape {hm.shape} does not match the reference grid")
         if self.case_count < 1:
-            raise ValueError("case_count must be >= 1")
+            raise InvalidParameter(f"case_count must be >= 1, got {self.case_count}")
         object.__setattr__(self, "heatmaps", hm)
 
     def validate(self, tol: float = 1e-6) -> None:
@@ -260,15 +265,16 @@ def build_atlas(
     )
 
 
-def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> None:
-    """Write one MET_DOUBLE volume per class plus the atlas.json manifest."""
+def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> list[str]:
+    """Write one MET_DOUBLE volume per class plus the atlas.json manifest; returns their paths."""
     out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     offset = atlas.reference_grid.origin_centered_offset()
+    written = []
     for c, name in enumerate(CLASS_NAMES):
         vol = Volume3(atlas.heatmaps[c], atlas.reference_grid.spacing, offset)
-        write_volume(vol, os.path.join(out_dir, f"heatmap_{name}.mhd"))
+        written.extend(write_volume(vol, os.path.join(out_dir, f"heatmap_{name}.mhd")))
     manifest = {
+        "schema": ATLAS_SCHEMA,
         "version": __version__,
         "reference_grid": {
             "grid_size": list(atlas.reference_grid.grid_size),
@@ -284,15 +290,17 @@ def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> None:
             for cid, T in atlas.transforms.items()
         },
     }
-    with open(os.path.join(out_dir, "atlas.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    written.append(os.path.join(out_dir, "atlas.json"))
+    write_json(written[-1], manifest)
+    return written
 
 
 def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
+    """Read an atlas directory; a bad atlas.json, or one that disagrees with
+    its heatmap volumes, raises InvalidAtlas."""
     atlas_dir = os.fspath(atlas_dir)
     manifest_path = os.path.join(atlas_dir, "atlas.json")
-    manifest = read_json(manifest_path, None, InvalidAtlas)
+    manifest = read_json(manifest_path, ATLAS_SCHEMA, InvalidAtlas)
     if manifest.get("classes") != list(CLASS_NAMES):
         raise InvalidAtlas("atlas manifest class roster does not match this build")
     with json_fields(manifest_path, InvalidAtlas):
@@ -305,8 +313,11 @@ def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
             m = np.asarray(entry["matrix"], dtype=np.float64).reshape(3, 4)
             transforms[cid] = RigidTransform(m[:, :3], m[:, 3], entry["scale"])
         case_count = manifest["case_count"]
-    heatmaps = np.zeros((N_CLASSES,) + tuple(fov.grid_size), dtype=np.float64)
-    for c, name in enumerate(CLASS_NAMES):
-        vol = read_volume(os.path.join(atlas_dir, f"heatmap_{name}.mhd"))
-        heatmaps[c] = vol.data
-    return HeatmapAtlas(fov, heatmaps, case_count, transforms)
+        heatmaps = np.zeros((N_CLASSES,) + fov.grid_size, dtype=np.float64)
+        for c, name in enumerate(CLASS_NAMES):
+            vol = read_volume(os.path.join(atlas_dir, f"heatmap_{name}.mhd"))
+            if vol.dims != fov.grid_size:
+                raise InvalidAtlas(f"heatmap_{name} is {vol.dims} voxels, but {manifest_path} "
+                                   f"gives grid_size {fov.grid_size}")
+            heatmaps[c] = vol.data
+        return HeatmapAtlas(fov, heatmaps, case_count, transforms)

@@ -1,10 +1,14 @@
 """Batch command-line surface.
 
 Subcommands: prep, stats, atlas, phantom, gradcheck, train, eval, report.
-Every command writes exactly one manifest (parameter echo, input hashes,
-tool version, timestamp, output paths) next to its primary outputs, and
-exits 0 on success, 1 on input/validation errors, 2 on internal errors;
-``--debug`` (before the subcommand) adds the traceback of an internal error.
+Every command writes exactly one manifest (parameter echo, input hashes of
+each volume header and the payload it names, tool version, timestamp,
+output paths) next to its primary outputs, and exits 0 on success, 1 on
+input/validation errors, 2 on internal errors; ``--debug`` (before the
+subcommand) adds the traceback of an internal error. A bad parameter value
+(InvalidParameter) and an output that cannot be written (IoFailure) are
+input errors. Output directories are created as needed, and each output
+file is replaced atomically, so an interrupted run leaves no partial file.
 All primary outputs are byte-deterministic for fixed inputs; only the
 manifest timestamp varies between identical runs. ``--jobs`` parallelizes
 across cases with an order-preserving map, so results never depend on it.
@@ -14,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 import traceback
@@ -25,7 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .align import build_atlas, load_atlas, save_atlas
-from .errors import CardioPriorError, UsageError
+from .errors import CardioPriorError, InvalidParameter, UsageError
 from .losses import GRADCHECK_LOSSES, LossConfig, gradcheck, load_loss_config
 from .metrics import evaluate_case
 from .phantom import Jitter, PhantomSpec, generate
@@ -44,7 +47,9 @@ from .trainer import (
     save_trace_csv,
     train,
 )
-from .volume import Volume3, argmax_labels, one_hot, read_volume, write_volume
+from .volume import (
+    Volume3, argmax_labels, one_hot, payload_path, read_volume, write_json, write_volume,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,13 +59,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _parse_values(text: str, cast) -> tuple:
+    """Comma-separated values, each converted by ``cast``."""
+    try:
+        return tuple(cast(p) for p in text.split(","))
+    except ValueError as exc:
+        raise InvalidParameter(f"cannot parse {text!r}: {exc}") from exc
+
+
 def _parse_triple(text: str, cast) -> tuple:
-    parts = text.split(",")
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
+    values = _parse_values(text, cast)
+    if len(values) == 1:
+        values = values * 3
+    if len(values) != 3:
         raise UsageError(f"expected one value or a comma triple, got {text!r}")
-    return tuple(cast(p) for p in parts)
+    return values
 
 
 def _sha256(path: str) -> str:
@@ -86,12 +99,12 @@ def _volume_files(path: str) -> list[str]:
 
 
 def _hash_volumes(files: list[str]) -> dict[str, str]:
+    """Hashes of each volume header and of the payload file its header names."""
     hashes = {}
     for f in files:
         hashes[f] = _sha256(f)
-        raw = os.path.splitext(f)[0] + ".raw"
-        if os.path.exists(raw):
-            hashes[raw] = _sha256(raw)
+        raw = payload_path(f)
+        hashes[raw] = _sha256(raw)
     return hashes
 
 
@@ -106,9 +119,7 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": sorted(outputs),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
 def _params(args: argparse.Namespace) -> dict:
@@ -117,7 +128,9 @@ def _params(args: argparse.Namespace) -> dict:
 
 
 def _pmap(fn, items, jobs: int) -> list:
-    if jobs <= 1:
+    if jobs < 1:
+        raise InvalidParameter(f"--jobs must be >= 1, got {jobs}")
+    if jobs == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, items))
@@ -129,12 +142,11 @@ def _pmap(fn, items, jobs: int) -> list:
 
 def cmd_prep(args: argparse.Namespace) -> int:
     files = _volume_files(args.in_path)
-    os.makedirs(args.out, exist_ok=True)
     spacing = _parse_triple(args.spacing, float)
     size = _parse_triple(args.size, int)
     fov = FovSpec(size, spacing[0])
 
-    def process(path: str) -> str:
+    def process(path: str) -> tuple[str, str]:
         v = read_volume(path)
         r = resample(v, spacing, args.mode)
         if r.data.dtype == np.uint8 and (r.data != 0).any():
@@ -144,13 +156,10 @@ def cmd_prep(args: argparse.Namespace) -> int:
                 r.offset[a] + r.spacing[a] * (r.dims[a] - 1) / 2.0 for a in range(3)
             )
         out_v = embed_fov(r, center, fov, args.mode)
-        out_path = os.path.join(args.out, os.path.basename(path))
-        write_volume(out_v, out_path)
-        return out_path
+        return write_volume(out_v, os.path.join(args.out, os.path.basename(path)))
 
-    outputs = _pmap(process, files, args.jobs)
-    raws = [os.path.splitext(p)[0] + ".raw" for p in outputs]
-    _write_manifest(args.out, "prep", _params(args), _hash_volumes(files), outputs + raws)
+    outputs = [p for paths in _pmap(process, files, args.jobs) for p in paths]
+    _write_manifest(args.out, "prep", _params(args), _hash_volumes(files), outputs)
     return 0
 
 
@@ -161,7 +170,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     stats = aggregate(descriptors)
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
     save_stats(stats, args.out)
     _write_manifest(out_dir, "stats", _params(args), _hash_volumes(files), [args.out])
     return 0
@@ -174,18 +182,18 @@ def cmd_atlas(args: argparse.Namespace) -> int:
     case_ids = [os.path.splitext(os.path.basename(f))[0] for f in files]
     atlas = build_atlas(volumes, fov, gpa_iters=args.iters,
                         with_scale=args.with_scale, case_ids=case_ids)
-    os.makedirs(args.out, exist_ok=True)
-    save_atlas(atlas, args.out)
-    outputs = [os.path.join(args.out, f) for f in sorted(os.listdir(args.out))]
+    outputs = save_atlas(atlas, args.out)
     _write_manifest(args.out, "atlas", _params(args), _hash_volumes(files), outputs)
     return 0
 
 
 def cmd_phantom(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise InvalidParameter(f"--n must be >= 1, got {args.n}")
     jitter = Jitter(
         pose_rotation_max_deg=args.jitter_rot,
         translation_max_mm=args.jitter_trans,
-        scale_range=tuple(float(s) for s in args.jitter_scale.split(",")),
+        scale_range=_parse_values(args.jitter_scale, float),
         axis_variation=args.jitter_axis,
     )
     spec = PhantomSpec(
@@ -194,15 +202,11 @@ def cmd_phantom(args: argparse.Namespace) -> int:
         jitter=jitter,
         noise_sigma=args.noise_sigma,
     )
-    os.makedirs(args.out, exist_ok=True)
 
-    def make(k: int) -> list[str]:
+    def make(k: int) -> tuple[str, ...]:
         image, labels = generate(spec, k)
-        img_path = os.path.join(args.out, f"case_{k:03d}_image.mhd")
-        lab_path = os.path.join(args.out, f"case_{k:03d}_label.mhd")
-        write_volume(image, img_path)
-        write_volume(labels, lab_path)
-        return [img_path, lab_path]
+        return (write_volume(image, os.path.join(args.out, f"case_{k:03d}_image.mhd"))
+                + write_volume(labels, os.path.join(args.out, f"case_{k:03d}_label.mhd")))
 
     outputs = [p for paths in _pmap(make, range(args.n), args.jobs) for p in paths]
     dataset = {
@@ -227,22 +231,15 @@ def cmd_phantom(args: argparse.Namespace) -> int:
         ],
     }
     ds_path = os.path.join(args.out, "dataset.json")
-    with open(ds_path, "w", encoding="utf-8") as fh:
-        json.dump(dataset, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    raws = [os.path.splitext(p)[0] + ".raw" for p in outputs]
-    _write_manifest(args.out, "phantom", _params(args), {}, outputs + raws + [ds_path])
+    write_json(ds_path, dataset)
+    _write_manifest(args.out, "phantom", _params(args), {}, outputs + [ds_path])
     return 0
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     report = gradcheck(args.loss, size=args.size, seed=args.seed)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(write_json(args.out, report))
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
     _write_manifest(out_dir, "gradcheck", _params(args), {}, [args.out])
     return 0
 
@@ -285,7 +282,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     model = init_model(feature_names(atlas is not None), aux=args.aux_weight > 0.0)
     trained, trace = train(model, cases, cfg)
 
-    os.makedirs(args.out, exist_ok=True)
     model_path = os.path.join(args.out, "model.json")
     trace_path = os.path.join(args.out, "trace.csv")
     save_model(trained, model_path, training={
@@ -302,16 +298,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         if not test_files:
             raise UsageError(f"no case_*_image.mhd volumes in {args.test_data}")
 
-        def run_case(f: str) -> str:
+        def run_case(f: str) -> tuple[str, str]:
             img = read_volume(os.path.join(args.test_data, f))
             pred = argmax_labels(predict(trained, img, atlas))
-            out_path = os.path.join(args.out, f.replace("_image.mhd", "_pred.mhd"))
-            write_volume(pred, out_path)
-            return out_path
+            return write_volume(pred, os.path.join(args.out, f.replace("_image.mhd", "_pred.mhd")))
 
-        preds = _pmap(run_case, test_files, args.jobs)
-        outputs.extend(preds)
-        outputs.extend(os.path.splitext(p)[0] + ".raw" for p in preds)
+        outputs.extend(p for paths in _pmap(run_case, test_files, args.jobs) for p in paths)
         inputs.extend(os.path.join(args.test_data, f) for f in test_files)
 
     manifest_inputs = _hash_volumes([p for p in inputs if p.endswith(".mhd")])
@@ -355,7 +347,6 @@ def _eval_pairs(pred_path: str, gt_path: str) -> list[tuple[str, str]]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     pairs = _eval_pairs(args.pred, args.gt)
-    os.makedirs(args.out, exist_ok=True)
 
     def run(pair: tuple[str, str]) -> str:
         pred_path, gt_path = pair
@@ -365,9 +356,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             case_id=case_id, include_hd95=args.hd95,
         )
         out_path = os.path.join(args.out, f"report_{case_id}.json")
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_path, report.to_dict())
         return out_path
 
     outputs = _pmap(run, pairs, args.jobs)
@@ -380,7 +369,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows = build_summary(args.runs, include_reference=not args.no_reference)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "summary.csv")
     md_path = os.path.join(args.out, "summary.md")
     write_summary_csv(rows, csv_path)

@@ -33,6 +33,10 @@ class IoFailure(CardioPriorError):
     pass
 
 
+class InvalidParameter(CardioPriorError, ValueError):
+    """A parameter outside its valid range, such as a grid size, an epoch count or a weight."""
+
+
 # geometry / resampling
 class InvalidSpacing(CardioPriorError):
     """Grid spacing that is not finite and positive, or an offset that is not finite."""

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidLossConfig, NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss
+from .errors import (
+    InvalidLossConfig, InvalidParameter, NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss,
+)
 from .stats import (
     PAIRS,
     TRIPLES,
@@ -507,6 +509,8 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
     """
     if loss_name not in GRADCHECK_LOSSES:
         raise UnknownLoss(f"unknown loss {loss_name!r}; known: {GRADCHECK_LOSSES}")
+    if size < 1 or seed < 0:
+        raise InvalidParameter(f"gradcheck needs size >= 1 and seed >= 0, got {size} and {seed}")
     logits, p, g = _gradcheck_instance(size, seed, loss_name)
     stats, weights = _gradcheck_stats(loss_name, p)
     cfg = LossConfig(weights=weights, stats=stats)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateSpec, InvalidLabelValue, UnknownMode
+from .errors import DegenerateSpec, InvalidLabelValue, InvalidParameter, UnknownMode
 from .preprocess import FovSpec
 from .volume import FOREGROUND_CLASSES, Volume3, voxel_center_grid
 
@@ -110,18 +110,22 @@ class Jitter:
     axis_variation: float = 0.06
 
     def __post_init__(self) -> None:
-        lo, hi = (float(s) for s in self.scale_range)
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"scale_range must be a positive interval, got {self.scale_range}")
-        object.__setattr__(self, "scale_range", (lo, hi))
+        scale_range = tuple(float(s) for s in self.scale_range)
+        if len(scale_range) != 2 or not (0.0 < scale_range[0] <= scale_range[1]):
+            raise InvalidParameter(
+                f"scale_range must be a positive interval (lo, hi), got {self.scale_range}"
+            )
+        object.__setattr__(self, "scale_range", scale_range)
         if not 0.0 <= self.axis_variation < 0.5:
-            raise ValueError(f"axis_variation must be in [0, 0.5), got {self.axis_variation}")
+            raise InvalidParameter(f"axis_variation must be in [0, 0.5), got {self.axis_variation}")
         if not 0.0 <= self.pose_rotation_max_deg <= 45.0:
-            raise ValueError(
+            raise InvalidParameter(
                 f"pose_rotation_max_deg must be in [0, 45], got {self.pose_rotation_max_deg}"
             )
-        if self.translation_max_mm < 0.0:
-            raise ValueError("translation_max_mm must be >= 0")
+        if not self.translation_max_mm >= 0.0:
+            raise InvalidParameter(
+                f"translation_max_mm must be >= 0, got {self.translation_max_mm}"
+            )
 
     @staticmethod
     def none() -> "Jitter":
@@ -140,8 +144,10 @@ class PhantomSpec:
     noise_sigma: float = 12.0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidParameter(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _rotation_matrix(axis: np.ndarray, angle_rad: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyForeground, InvalidSpacing
+from .errors import EmptyForeground, InvalidParameter, InvalidSpacing
 from .volume import Volume3, voxel_center_grid
 
 _SNAP = 1e-9  # voxels
@@ -31,7 +31,7 @@ class FovSpec:
     def __post_init__(self) -> None:
         size = tuple(int(n) for n in self.grid_size)
         if len(size) != 3 or any(n < 8 for n in size):
-            raise ValueError(f"grid_size components must be >= 8, got {self.grid_size}")
+            raise InvalidParameter(f"grid_size components must be >= 8, got {self.grid_size}")
         object.__setattr__(self, "grid_size", size)
         if not self.spacing_mm > 0:
             raise InvalidSpacing(f"spacing_mm must be positive, got {self.spacing_mm}")

@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from .errors import InvalidReport, IoFailure
-from .volume import json_fields, read_json
+from .volume import json_fields, read_json, write_file
 
 #: Published reference row (64-cube whole-heart baseline): macro Dice and
 #: Jaccard in percent, HD and ASSD in mm. Static documentation values, not
@@ -90,8 +90,7 @@ def write_summary_csv(rows: list[dict], path: str | os.PathLike) -> None:
     lines = ["method," + ",".join(COLUMNS)]
     for row in rows:
         lines.append(str(row["method"]) + "," + ",".join(_fmt(row[c]) for c in COLUMNS))
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_summary_md(rows: list[dict], path: str | os.PathLike) -> None:
@@ -103,8 +102,7 @@ def write_summary_md(rows: list[dict], path: str | os.PathLike) -> None:
         lines.append(
             "| " + str(row["method"]) + " | " + " | ".join(_fmt(row[c]) for c in COLUMNS) + " |"
         )
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def build_summary(

@@ -17,7 +17,6 @@ quantity is present.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ import numpy as np
 from ._version import __version__
 from .errors import InvalidStats, VanishingMass
 from .volume import (
-    CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, json_fields, read_json,
+    CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, json_fields, read_json, write_json,
 )
 
 #: Soft-mass floor (in voxels of probability mass) below which moment
@@ -312,9 +311,7 @@ def save_stats(stats: ShapeStats, path: str | os.PathLike) -> None:
             for k, (m, s, n) in sorted(stats.triple_stats.items())
         ],
     }
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def _std(value, what: str) -> float:

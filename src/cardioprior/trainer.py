@@ -14,8 +14,6 @@ initialization randomness from comparisons between loss configurations.
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -26,11 +24,14 @@ from scipy import ndimage
 
 from ._version import __version__
 from .align import HeatmapAtlas
-from .errors import ArityMismatch, GridMismatch, InvalidModel, NonfiniteLoss
+from .errors import ArityMismatch, GridMismatch, InvalidModel, InvalidParameter, NonfiniteLoss
 from .losses import WEIGHT_KEYS, LossConfig, softmax, total_loss
 from .preprocess import FovSpec
 from .stats import ShapeStats, case_descriptor
-from .volume import CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, json_fields, one_hot, read_json
+from .volume import (
+    CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, json_fields, one_hot, read_json, write_file,
+    write_json,
+)
 
 #: Pinned descent step, calibrated on the 48-cube phantom fixture so the
 #: baseline trace decreases strictly over its first 20 epochs and the
@@ -92,22 +93,18 @@ def feature_names(with_atlas: bool) -> tuple[str, ...]:
     return base + ("bias",)
 
 
-def featurize(
-    image: Volume3, atlas: HeatmapAtlas | None = None, *, standardize: bool = False
-) -> FeatureStack:
+def featurize(image: Volume3, atlas: HeatmapAtlas | None = None) -> FeatureStack:
     """Deterministic feature stack for one image.
 
-    Box smoothing uses reflective boundaries; coordinates are 2i/(n-1) - 1
-    per axis (0 at the grid center). With an atlas, the image must already
-    live on the atlas reference grid, and the 8 heatmap values at each
-    voxel become features verbatim. ``standardize`` replaces the intensity
-    (and its smoothed copies) with the per-case z-scored version; the raw
-    default keeps featurize a pure function of the voxel values.
+    The intensity is z-scored per case, and its box-smoothed copies are
+    taken of the z-scored image; a constant image gives 0. Box smoothing
+    uses reflective boundaries; coordinates are 2i/(n-1) - 1 per axis (0 at
+    the grid center). With an atlas, the image must already live on the
+    atlas reference grid, and the 8 heatmap values at each voxel become
+    features verbatim.
     """
     img = image.data.astype(np.float64)
-    if standardize:
-        std = float(img.std())
-        img = (img - float(img.mean())) / max(std, 1e-12)
+    img = (img - float(img.mean())) / max(float(img.std()), 1e-12)
     planes = [img, ndimage.uniform_filter(img, size=3, mode="reflect"),
               ndimage.uniform_filter(img, size=5, mode="reflect")]
     for a in range(3):
@@ -138,7 +135,6 @@ class MicroModel:
     weights: np.ndarray  # (8, n_features)
     feature_names: tuple[str, ...]
     aux_weights: np.ndarray | None = None
-    standardize: bool = True
 
     def __post_init__(self) -> None:
         W = np.asarray(self.weights, dtype=np.float64)
@@ -154,9 +150,9 @@ class MicroModel:
             object.__setattr__(self, "aux_weights", A)
 
 
-def init_model(names: tuple[str, ...], aux: bool = False, standardize: bool = True) -> MicroModel:
+def init_model(names: tuple[str, ...], aux: bool = False) -> MicroModel:
     zeros = np.zeros((N_CLASSES, len(names)))
-    return MicroModel(zeros, tuple(names), zeros.copy() if aux else None, standardize)
+    return MicroModel(zeros, tuple(names), zeros.copy() if aux else None)
 
 
 def forward(
@@ -182,18 +178,17 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     aux_weight: float = 0.0
     atlas: HeatmapAtlas | None = None
-    standardize: bool = True
     jobs: int = 1
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.step_size) and self.step_size >= 0.0):
-            raise ValueError(f"step_size must be finite and >= 0, got {self.step_size}")
+            raise InvalidParameter(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.aux_weight < 0.0:
-            raise ValueError("aux_weight must be >= 0")
+            raise InvalidParameter(f"epochs must be >= 0, got {self.epochs}")
+        if not (np.isfinite(self.aux_weight) and self.aux_weight >= 0.0):
+            raise InvalidParameter(f"aux_weight must be finite and >= 0, got {self.aux_weight}")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
 
 def _case_eval(W, W_aux, flat, g, dims, cfg: TrainConfig, aux_target, need_grad):
@@ -224,8 +219,8 @@ def train(
     cases is accumulated in fixed case order, the epoch objective is
     recorded (before the update, so epoch 0 shows the initial weights),
     and a plain descent step is applied. Raises NonfiniteLoss naming the
-    first epoch whose objective is not finite. Deterministic for fixed
-    (data, config) regardless of cfg.jobs.
+    first epoch whose objective, or the last epoch whose step, is not
+    finite. Deterministic for fixed (data, config) regardless of cfg.jobs.
     """
     if not cases:
         raise ValueError("need at least one training case")
@@ -233,7 +228,7 @@ def train(
     for img, lab in cases:
         if img.dims != dims or lab.dims != dims:
             raise GridMismatch("all training cases must share one grid")
-    stacks = [featurize(img, cfg.atlas, standardize=cfg.standardize) for img, _ in cases]
+    stacks = [featurize(img, cfg.atlas) for img, _ in cases]
     flats = [s.data.reshape(s.data.shape[0], -1) for s in stacks]
     if stacks[0].data.shape[0] != model.weights.shape[1]:
         raise ArityMismatch(
@@ -242,7 +237,7 @@ def train(
     aux_target = None
     if model.aux_weights is not None:
         if cfg.atlas is None:
-            raise ValueError("auxiliary head requires an atlas to regress")
+            raise InvalidParameter("auxiliary head requires an atlas to regress")
         aux_target = cfg.atlas.heatmaps.reshape(N_CLASSES, -1)
 
     W = model.weights.copy()
@@ -270,13 +265,15 @@ def train(
             if W_aux is not None:
                 grad_aux = sum(r[3] for r in results) / n
                 W_aux = W_aux - cfg.step_size * grad_aux
+    if not (np.isfinite(W).all() and (W_aux is None or np.isfinite(W_aux).all())):
+        raise NonfiniteLoss(f"weights became non-finite in the step of epoch {cfg.epochs - 1}")
     trained = replace(model, weights=W, aux_weights=W_aux)
     return trained, trace
 
 
 def predict(model: MicroModel, image: Volume3, atlas: HeatmapAtlas | None = None) -> ProbVolume:
     """Softmax class probabilities for one image."""
-    feats = featurize(image, atlas, standardize=model.standardize)
+    feats = featurize(image, atlas)
     logits, _ = forward(model, feats)
     return ProbVolume(softmax(logits), image.spacing, image.offset)
 
@@ -290,14 +287,11 @@ def save_model(model: MicroModel, path: str | os.PathLike, training: dict | None
         "schema": "micro-model/1",
         "version": __version__,
         "feature_names": list(model.feature_names),
-        "standardize": model.standardize,
         "weights": model.weights.tolist(),
         "aux_weights": None if model.aux_weights is None else model.aux_weights.tolist(),
         "training": training or {},
     }
-    with open(os.fspath(path), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | os.PathLike) -> MicroModel:
@@ -308,18 +302,16 @@ def load_model(path: str | os.PathLike) -> MicroModel:
             np.asarray(doc["weights"], dtype=np.float64),
             tuple(doc["feature_names"]),
             None if aux is None else np.asarray(aux, dtype=np.float64),
-            bool(doc["standardize"]),
         )
 
 
 def save_trace_csv(trace: list[dict[str, float]], path: str | os.PathLike) -> None:
     """trace.csv with epoch, total, then the per-term columns sorted by name."""
     keys = sorted(k for k in (trace[0] if trace else {}) if k not in ("epoch", "total"))
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "total"] + keys)
-        for row in trace:
-            writer.writerow([int(row["epoch"])] + [repr(row[k]) for k in ["total"] + keys])
+    lines = [",".join(["epoch", "total"] + keys)]
+    for row in trace:
+        lines.append(",".join([str(int(row["epoch"]))] + [repr(row[k]) for k in ["total"] + keys]))
+    write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +348,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     names = feature_names(with_atlas=True)
     W = 0.1 * rng.standard_normal((N_CLASSES, len(names)))
     W_aux = 0.1 * rng.standard_normal((N_CLASSES, len(names)))
-    stacks = [featurize(img, atlas, standardize=True) for img, _ in cases]
+    stacks = [featurize(img, atlas) for img, _ in cases]
     flats = [s.data.reshape(s.data.shape[0], -1) for s in stacks]
     aux_target = atlas.heatmaps.reshape(N_CLASSES, -1)
     dims = grid.grid_size
@@ -394,9 +386,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
         },
         n_cases=3,
     )
-    cfg = TrainConfig(
-        loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, standardize=True, epochs=1
-    )
+    cfg = TrainConfig(loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, epochs=1)
 
     def case_evals(need_grad):
         return [_case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, need_grad)

@@ -15,6 +15,14 @@ Conventions fixed here and binding everywhere else in the package:
 The file format is a MetaImage-style text header (``.mhd``) plus a raw
 little-endian payload; parsing is strict (unknown keys are rejected) so a
 round trip is bit-exact.
+
+Every file the package writes is committed by :func:`write_file`: the bytes
+go to a hidden temporary file in the target's directory, which then
+replaces the target in one rename. An interrupted or failed write leaves
+either no file or the old one, never a partial file, and any ``OSError``
+becomes :class:`IoFailure`. JSON outputs share one format,
+:func:`write_json`. A volume's payload is committed before its header, so a
+header never names a missing or short payload.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +38,7 @@ import numpy as np
 from .errors import (
     CardioPriorError,
     InvalidLabelValue,
+    InvalidParameter,
     InvalidSpacing,
     IoFailure,
     MalformedHeader,
@@ -78,7 +87,7 @@ class Volume3:
     def __post_init__(self) -> None:
         arr = np.asarray(self.data)
         if arr.ndim != 3 or min(arr.shape) < 1:
-            raise ValueError(f"volume data must be 3-D and non-empty, got shape {arr.shape}")
+            raise InvalidParameter(f"volume data must be 3-D and non-empty, got shape {arr.shape}")
         if arr.dtype not in _DTYPE_TO_KIND:
             raise UnsupportedElementType(f"unsupported volume dtype {arr.dtype}")
         object.__setattr__(self, "data", arr)
@@ -187,16 +196,48 @@ def _format_triple(values) -> str:
     return " ".join(repr(float(v)) if not float(v).is_integer() else str(int(v)) for v in values)
 
 
-def write_volume(v: Volume3, path: str | os.PathLike) -> None:
+def write_file(path: str | os.PathLike, data: bytes) -> None:
+    """Commit ``data`` to ``path`` whole, or raise IoFailure and leave ``path`` as it was.
+
+    Writes ``.<name>.<random>.tmp`` beside the target, with the mode that
+    ``open(path, "w")`` gives, and renames it over the target. Nothing is
+    synced to disk: this covers an interrupted process, not a power loss.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            os.remove(tmp)  # gone after a successful rename
+
+
+def write_json(path: str | os.PathLike, doc) -> str:
+    """Commit ``doc`` as indented, key-sorted JSON plus a newline; returns the text."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    write_file(path, text.encode("utf-8"))
+    return text
+
+
+def write_volume(v: Volume3, path: str | os.PathLike) -> tuple[str, str]:
     """Write ``<path>`` (.mhd header) plus a sibling ``.raw`` payload.
 
     The payload is raw little-endian in x-fastest order so that
-    ``read_volume`` inverts the write bit-exactly.
+    ``read_volume`` inverts the write bit-exactly. It is committed before
+    the header. Returns the (header, payload) paths.
     """
     path = os.fspath(path)
     if not path.endswith(".mhd"):
         path = path + ".mhd"
     raw_name = os.path.basename(path)[:-4] + ".raw"
+    raw_path = os.path.join(os.path.dirname(path), raw_name)
     header = (
         f"NDims = 3\n"
         f"DimSize = {v.dims[0]} {v.dims[1]} {v.dims[2]}\n"
@@ -208,24 +249,13 @@ def write_volume(v: Volume3, path: str | os.PathLike) -> None:
     payload = np.ascontiguousarray(v.data.ravel(order="F")).astype(
         _ELEMENT_TYPES[_KIND_TO_ELEMENT[v.element_kind]], copy=False
     )
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-        with open(os.path.join(os.path.dirname(path), raw_name), "wb") as fh:
-            fh.write(payload.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write volume to {path}: {exc}") from exc
+    write_file(raw_path, payload.tobytes())
+    write_file(path, header.encode("utf-8"))
+    return path, raw_path
 
 
-def read_volume(path: str | os.PathLike) -> Volume3:
-    """Read an .mhd header + raw payload pair written by :func:`write_volume`.
-
-    Strict parse: unknown or missing keys raise MalformedHeader, and so does
-    an ElementDataFile that is not a bare file name beside the header;
-    unknown element types raise UnsupportedElementType, and a payload whose
-    byte length disagrees with DimSize raises SizeMismatch.
-    """
-    path = os.fspath(path)
+def _read_header(path: str) -> tuple[tuple, tuple, tuple, np.dtype, str]:
+    """(dims, spacing, offset, dtype, payload path) from a strict header parse."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -267,12 +297,29 @@ def read_volume(path: str | os.PathLike) -> Volume3:
     eltype = fields["ElementType"]
     if eltype not in _ELEMENT_TYPES:
         raise UnsupportedElementType(f"ElementType {eltype!r} not supported")
-    dtype = _ELEMENT_TYPES[eltype]
 
     data_file = fields["ElementDataFile"]
     if data_file in ("", ".", "..") or any(ch in data_file for ch in "/\\\x00"):
         raise MalformedHeader(f"ElementDataFile must be a bare file name, got {data_file!r}")
     raw_path = os.path.join(os.path.dirname(path), data_file)
+    return dims, spacing, offset, _ELEMENT_TYPES[eltype], raw_path
+
+
+def payload_path(path: str | os.PathLike) -> str:
+    """The payload file that the ElementDataFile of the header at ``path`` names."""
+    return _read_header(os.fspath(path))[4]
+
+
+def read_volume(path: str | os.PathLike) -> Volume3:
+    """Read an .mhd header + raw payload pair written by :func:`write_volume`.
+
+    Strict parse: unknown or missing keys raise MalformedHeader, and so does
+    an ElementDataFile that is not a bare file name beside the header;
+    unknown element types raise UnsupportedElementType, and a payload whose
+    byte length disagrees with DimSize raises SizeMismatch.
+    """
+    path = os.fspath(path)
+    dims, spacing, offset, dtype, raw_path = _read_header(path)
     try:
         with open(raw_path, "rb") as fh:
             payload = fh.read()

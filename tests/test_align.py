@@ -225,6 +225,7 @@ class TestAtlas:
             assert np.abs(back.transforms[key].translation - T.translation).max() < 1e-15
 
     def test_foreign_class_roster_rejected(self, tmp_path):
-        (tmp_path / "atlas.json").write_text('{"classes": ["background", "LV"]}')
+        (tmp_path / "atlas.json").write_text(
+            '{"schema": "heatmap-atlas/1", "classes": ["background", "LV"]}')
         with pytest.raises(InvalidAtlas, match="class roster"):
             load_atlas(tmp_path)

@@ -1,12 +1,22 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cardioprior import (
+    GRADCHECK_LOSSES,
     InvalidAtlas,
     InvalidStats,
     Volume3,
@@ -305,6 +315,80 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: InvalidAtlas:") and repr(key) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", "-1"],
+        ["train", "--step", "nan"],
+        ["train", "--jobs", "0"],
+        ["train", "--aux-weight", "1"],  # an auxiliary head without --atlas
+        ["phantom", "--size", "4"],
+        ["prep", "--size", "4"],
+        ["phantom", "--jitter-scale", "1"],
+        ["phantom", "--n", "-1"],
+        ["gradcheck", "--size", "0"],
+        ["atlas", "--iters", "-3"],
+    ], ids=" ".join)
+    def test_bad_parameter_is_typed_error(self, pipeline, tmp_path, capsys, argv):
+        given = {
+            "train": ["--data", str(pipeline["train"]), "--epochs", "1"],
+            "phantom": ["--n", "1", "--size", "16", "--spacing", "6"],
+            "prep": ["--in", str(pipeline["labels"])],
+            "gradcheck": ["--loss", "volume"],
+            "atlas": ["--labels", str(pipeline["labels"]), "--size", "24", "--spacing", "4"],
+        }[argv[0]]
+        rc = main(argv[:1] + given + argv[1:] + ["--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidParameter:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "train"])
+    def test_unwritable_output_is_typed_error(self, pipeline, tmp_path, capsys, command):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_bytes(b"")
+        argv = {
+            "stats": ["stats", "--labels", str(pipeline["labels"]), "--out", str(tmp_path / "dir")],
+            "eval": ["eval", "--pred", str(pipeline["run"]), "--gt", str(pipeline["gt"]),
+                     "--out", str(tmp_path / "file" / "sub")],
+            "train": ["train", "--data", str(pipeline["train"]), "--epochs", "1",
+                      "--out", str(tmp_path / "file")],
+        }[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: IoFailure:")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+
+    def test_interrupted_write_keeps_the_old_output(self, pipeline, tmp_path, monkeypatch,
+                                                    capsys):
+        out = tmp_path / "stats.json"
+        out.write_bytes(b"old")
+
+        def replace(src, dst):
+            raise OSError(5, "interrupted", dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        rc = main(["stats", "--labels", str(pipeline["labels"]), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: IoFailure:")
+        assert out.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("schema", None),
+        ("case_count", 0),
+        ("reference_grid", {"grid_size": [16, 16, 16], "spacing_mm": 4.0}),
+    ])
+    def test_inconsistent_atlas_json_is_typed_error(self, pipeline, tmp_path, capsys,
+                                                    key, value):
+        atlas = tmp_path / "atlas"
+        shutil.copytree(pipeline["atlas"], atlas)
+        doc = json.loads((atlas / "atlas.json").read_text())
+        doc[key] = value
+        (atlas / "atlas.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidAtlas):
+            load_atlas(atlas)
+        rc = main(["train", "--data", str(pipeline["train"]), "--atlas", str(atlas),
+                   "--epochs", "1", "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: InvalidAtlas:")
+
     def test_eval_of_a_non_label_volume_is_typed_error(self, tmp_path, capsys):
         lab = np.zeros((4, 4, 4), dtype=np.uint8)
         lab[1:3, 1:3, 1:3] = 1
@@ -351,6 +435,90 @@ class TestInternalErrors:
         assert main(["--debug", "phantom", "--n", "1", "--size", "16", "--spacing", "6.0",
                      "--out", str(out)]) == 0
         assert "debug" not in json.loads((out / "manifest.json").read_text())["parameters"]
+
+
+#: Numeric option values, each either accepted or a typed error.
+_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.05", "0.5", "3", "10", "1e300"])
+#: Values for options that set a resampling spacing: a small one would build a huge grid.
+_COARSE = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "10", "1e300"])
+_SIZES = st.sampled_from(["-1", "0", "4", "8", "12"])
+_COUNTS = st.integers(-2, 3).map(str)
+_JOBS = st.integers(1, 4).map(str)
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """Two 12-cube phantom cases, their labels and an atlas of them."""
+    root = tmp_path_factory.mktemp("tiny")
+    grid = ["--size", "12", "--spacing", "10"]
+    assert main(["phantom", "--n", "2", *grid, "--out", str(root / "cases")]) == 0
+    for f in sorted((root / "cases").glob("case_*_label.mhd")):
+        copy_pair(f, root / "labels")
+    assert main(["atlas", "--labels", str(root / "labels"), *grid,
+                 "--out", str(root / "atlas")]) == 0
+    return root
+
+
+class TestParameterProperty:
+    """Any numeric parameter value ends in exit 0 or a typed error (1), never exit 2."""
+
+    @staticmethod
+    def argv(draw, tiny) -> list[str]:
+        command = draw(st.sampled_from(["phantom", "gradcheck", "train", "atlas", "prep"]))
+        if command == "phantom":
+            return ["phantom", "--n", draw(_COUNTS), "--size", draw(_SIZES),
+                    "--spacing", draw(_NUMBERS), "--seed", draw(_COUNTS),
+                    "--jitter-rot", draw(_NUMBERS), "--jitter-trans", draw(_NUMBERS),
+                    "--jitter-axis", draw(_NUMBERS),
+                    "--jitter-scale", f"{draw(_NUMBERS)},{draw(_NUMBERS)}",
+                    "--noise-sigma", draw(_NUMBERS), "--jobs", draw(_JOBS)]
+        if command == "gradcheck":
+            return ["gradcheck", "--loss", draw(st.sampled_from(GRADCHECK_LOSSES)),
+                    "--size", draw(_COUNTS), "--seed", draw(_COUNTS)]
+        if command == "train":
+            atlas = ["--atlas", str(tiny / "atlas")] if draw(st.booleans()) else []
+            return ["train", "--data", str(tiny / "cases"), *atlas, "--epochs", draw(_COUNTS),
+                    "--step", draw(_NUMBERS), "--aux-weight", draw(_NUMBERS),
+                    "--jobs", draw(_JOBS)]
+        if command == "atlas":
+            return ["atlas", "--labels", str(tiny / "labels"), "--iters", draw(_COUNTS),
+                    "--size", draw(_SIZES), "--spacing", draw(_NUMBERS), "--jobs", draw(_JOBS)]
+        return ["prep", "--in", str(tiny / "labels"), "--size", draw(_SIZES),
+                "--spacing", draw(_COARSE), "--mode", "nearest", "--jobs", draw(_JOBS)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_is_0_or_1(self, tiny, data):
+        argv = self.argv(data.draw, tiny)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in absurd geometry
+            rc = main(argv + ["--out", os.path.join(out, "o")])
+        assert rc in (0, 1), (argv, err.getvalue())
+        if rc == 1:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+
+
+class TestManifestInputs:
+    def test_hashes_the_payload_the_header_names(self, tmp_path):
+        labels = tmp_path / "labels"
+        lab = np.zeros((8, 8, 8), dtype=np.uint8)
+        lab[1:4, 1:4, 1:4], lab[4:7, 4:7, 4:7] = 1, 2
+        mhd, raw = write_volume(Volume3(lab, (2.0, 2.0, 2.0)), labels / "case_000_label.mhd")
+        payload = labels / "payload.raw"
+        os.rename(raw, payload)
+        pathlib.Path(mhd).write_text(pathlib.Path(mhd).read_text().replace(
+            "= case_000_label.raw", "= payload.raw"))
+        pathlib.Path(raw).write_bytes(b"a stale payload that is never read")
+        out = tmp_path / "stats" / "s.json"
+        assert main(["stats", "--labels", str(labels), "--out", str(out)]) == 0
+        inputs = json.loads((tmp_path / "stats" / "manifest.json").read_text())["inputs"]
+        assert inputs == {
+            mhd: hashlib.sha256(pathlib.Path(mhd).read_bytes()).hexdigest(),
+            str(payload): hashlib.sha256(payload.read_bytes()).hexdigest(),
+        }
 
 
 class TestDeterminism:

@@ -1,7 +1,7 @@
 """Static checks of the package surface, written with the standard library only.
 
-No module imports a name it never uses, and ``cardioprior.__all__`` is
-exactly the package's public namespace.
+No module imports a name it never uses, ``cardioprior.__all__`` is
+exactly the package's public namespace, and only ``volume`` writes files.
 """
 
 import __future__
@@ -62,3 +62,37 @@ def test_every_public_attribute_is_in_all():
         and value is not __future__.annotations
     }
     assert public - set(cardioprior.__all__) == set()
+
+
+def _writes(node: ast.AST) -> bool:
+    """A ``json.dump`` call, or an ``open`` call whose mode can write."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "dump" \
+            and isinstance(func.value, ast.Name) and func.value.id == "json":
+        return True
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    for mode in node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]:
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True  # a mode computed at run time may write
+        if set(mode.value) & set("wax+"):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "volume.py"],
+                         ids=lambda p: p.name)
+def test_only_volume_writes_files(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = [node.lineno for node in ast.walk(tree) if _writes(node)]
+    assert not lines, f"{path.name}: writes a file outside volume.write_file at lines {lines}"
+
+
+def test_write_guard_catches_each_form():
+    calls = ['json.dump(d, fh)', 'open(p, "w")', 'open(p, mode="ab")', 'open(p, "r+")',
+             'open(p, m)']
+    assert all(_writes(ast.parse(c).body[0].value) for c in calls)
+    assert not any(_writes(ast.parse(c).body[0].value)
+                   for c in ['open(p)', 'open(p, "rb")', 'json.dumps(d)'])

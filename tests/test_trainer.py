@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,7 @@ class TestFeaturize:
         stack = featurize(const_image())
         names = stack.names
         for key in ("intensity", "box_mean_r1", "box_mean_r2"):
-            assert (stack.data[names.index(key)] == 7.0).all()
+            assert (stack.data[names.index(key)] == 0.0).all()  # the standardized constant
         assert (stack.data[names.index("bias")] == 1.0).all()
 
     def test_center_voxel_coordinates_are_zero(self):
@@ -79,7 +81,7 @@ class TestFeaturize:
 
     def test_standardize_centers_intensity(self, phantom_case):
         image, _ = phantom_case
-        stack = featurize(image, standardize=True)
+        stack = featurize(image)
         plane = stack.data[stack.names.index("intensity")]
         assert abs(plane.mean()) < 1e-9
         assert plane.std() == pytest.approx(1.0, abs=1e-9)
@@ -281,12 +283,11 @@ class TestSerialization:
             rng.standard_normal((N_CLASSES, len(names))),
             names,
             rng.standard_normal((N_CLASSES, len(names))),
-            standardize=False,
         )
         save_model(model, tmp_path / "m.json")
+        assert "standardize" not in json.loads((tmp_path / "m.json").read_text())
         back = load_model(tmp_path / "m.json")
         assert back.feature_names == names
-        assert back.standardize is False
         np.testing.assert_array_equal(back.weights, model.weights)
         np.testing.assert_array_equal(back.aux_weights, model.aux_weights)
 

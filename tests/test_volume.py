@@ -1,3 +1,7 @@
+import json
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +13,7 @@ from cardioprior import (
     CardioPriorError,
     InvalidLabelValue,
     InvalidSpacing,
+    IoFailure,
     MalformedHeader,
     ProbVolume,
     SizeMismatch,
@@ -20,6 +25,7 @@ from cardioprior import (
     voxel_center_grid,
     write_volume,
 )
+from cardioprior.volume import payload_path, write_file, write_json
 from conftest import label_volume
 
 
@@ -294,3 +300,57 @@ class TestWriteVolume:
         assert back.data.tobytes() == v.data.tobytes()
         assert back.data.dtype == v.data.dtype
         assert back.spacing == v.spacing and back.offset == v.offset
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+class TestWriteFile:
+    """Outputs are committed whole by one temp-file-plus-rename writer."""
+
+    @pytest.mark.parametrize("old", [None, b"old bytes\n"])
+    def test_failed_replace_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch, old):
+        target = tmp_path / "out.json"
+        if old is not None:
+            target.write_bytes(old)
+
+        def replace(src, dst):
+            raise PermissionError(13, "refused", dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(IoFailure, match="out.json"):
+            write_file(target, b"new bytes\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["out.json"])
+        if old is not None:
+            assert target.read_bytes() == old
+
+    def test_mode_is_what_open_for_writing_gives(self, tmp_path):
+        write_file(tmp_path / "a.txt", b"x")
+        assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o666 & ~_umask()
+
+    def test_creates_parent_directories(self, tmp_path):
+        write_file(tmp_path / "a" / "b" / "c.txt", b"x")
+        assert (tmp_path / "a" / "b" / "c.txt").read_bytes() == b"x"
+
+    def test_json_format(self, tmp_path):
+        doc = {"b": [1.5, None], "a": {"z": "t", "y": float("nan")}}
+        text = write_json(tmp_path / "d.json", doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "d.json").read_bytes() == text.encode("utf-8")
+
+    def test_volume_header_never_without_its_payload(self, tmp_path):
+        (tmp_path / "v.raw").mkdir()  # the payload cannot be committed
+        with pytest.raises(IoFailure):
+            write_volume(Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)),
+                         tmp_path / "v.mhd")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.raw"]
+
+    def test_write_volume_returns_both_paths(self, tmp_path):
+        paths = write_volume(Volume3(np.ones((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)),
+                             tmp_path / "v")
+        assert paths == (str(tmp_path / "v.mhd"), str(tmp_path / "v.raw"))
+        assert payload_path(paths[0]) == paths[1]
+        assert all(os.path.getsize(p) > 0 for p in paths)
