@@ -39,21 +39,20 @@ def _require_same_grid(pred: Volume3, gt: Volume3) -> None:
         raise ShapeMismatch(f"pred spacing {pred.spacing} != gt spacing {gt.spacing}")
 
 
-def _dice_jaccard(np_: int, ng: int, inter: int) -> tuple[float | None, float | None]:
-    """Dice and Jaccard from voxel counts; (None, None) when the class is empty in both."""
-    if np_ == 0 and ng == 0:
-        return None, None
-    if np_ == 0 or ng == 0:
-        return 0.0, 0.0
-    return 2.0 * inter / (np_ + ng), inter / (np_ + ng - inter)
-
-
 def overlap(pred: Volume3, gt: Volume3, c: int) -> tuple[float | None, float | None]:
     """Dice and Jaccard for class c; (None, None) when empty in both."""
     _require_same_grid(pred, gt)
     p = pred.data == c
     g = gt.data == c
-    return _dice_jaccard(int(p.sum()), int(g.sum()), int((p & g).sum()))
+    np_, ng = int(p.sum()), int(g.sum())
+    if np_ == 0 and ng == 0:
+        return None, None
+    if np_ == 0 or ng == 0:
+        return 0.0, 0.0
+    inter = int((p & g).sum())
+    dice = 2.0 * inter / (np_ + ng)
+    jaccard = inter / (np_ + ng - inter)
+    return dice, jaccard
 
 
 def _surface_mask(m: np.ndarray) -> np.ndarray:
@@ -176,14 +175,13 @@ def evaluate_case(
     _require_same_grid(pred, gt)
     if pred.data.dtype != np.uint8 or gt.data.dtype != np.uint8:
         raise InvalidLabelValue("evaluate_case expects UInt8 label volumes")
-    # confusion[p, g]: voxels predicted p with ground truth g; 8 * 7 + 7 fits in uint8
-    codes = (N_CLASSES * pred.data + gt.data).ravel(order="K")
-    confusion = np.bincount(codes, minlength=N_CLASSES**2).reshape(N_CLASSES, N_CLASSES)
+    pred_counts = np.bincount(pred.data.ravel(), minlength=N_CLASSES)
+    gt_counts = np.bincount(gt.data.ravel(), minlength=N_CLASSES)
     per_class: dict[int, ClassMetrics] = {}
     for c in FOREGROUND_CLASSES:
-        n_p = int(confusion[c].sum())
-        n_g = int(confusion[:, c].sum())
-        dice, jaccard = _dice_jaccard(n_p, n_g, int(confusion[c, c]))
+        n_p = int(pred_counts[c])
+        n_g = int(gt_counts[c])
+        dice, jaccard = overlap(pred, gt, c)
         hd = assd = hd95 = None
         if n_p > 0 and n_g > 0:
             if include_hd95:

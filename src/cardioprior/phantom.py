@@ -111,9 +111,10 @@ class Jitter:
 
     def __post_init__(self) -> None:
         scale_range = tuple(float(s) for s in self.scale_range)
-        if len(scale_range) != 2 or not (0.0 < scale_range[0] <= scale_range[1]):
+        if (len(scale_range) != 2 or not np.isfinite(scale_range).all()
+                or not 0.0 < scale_range[0] <= scale_range[1]):
             raise InvalidParameter(
-                f"scale_range must be a positive interval (lo, hi), got {self.scale_range}"
+                f"scale_range must be a finite positive interval (lo, hi), got {self.scale_range}"
             )
         object.__setattr__(self, "scale_range", scale_range)
         if not 0.0 <= self.axis_variation < 0.5:
@@ -122,9 +123,9 @@ class Jitter:
             raise InvalidParameter(
                 f"pose_rotation_max_deg must be in [0, 45], got {self.pose_rotation_max_deg}"
             )
-        if not self.translation_max_mm >= 0.0:
+        if not (np.isfinite(self.translation_max_mm) and self.translation_max_mm >= 0.0):
             raise InvalidParameter(
-                f"translation_max_mm must be >= 0, got {self.translation_max_mm}"
+                f"translation_max_mm must be finite and >= 0, got {self.translation_max_mm}"
             )
 
     @staticmethod

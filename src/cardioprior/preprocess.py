@@ -33,8 +33,8 @@ class FovSpec:
         if len(size) != 3 or any(n < 8 for n in size):
             raise InvalidParameter(f"grid_size components must be >= 8, got {self.grid_size}")
         object.__setattr__(self, "grid_size", size)
-        if not self.spacing_mm > 0:
-            raise InvalidSpacing(f"spacing_mm must be positive, got {self.spacing_mm}")
+        if not (math.isfinite(self.spacing_mm) and self.spacing_mm > 0):
+            raise InvalidSpacing(f"spacing_mm must be finite and positive, got {self.spacing_mm}")
         object.__setattr__(self, "spacing_mm", float(self.spacing_mm))
 
     @property

@@ -296,6 +296,8 @@ def save_model(model: MicroModel, path: str | os.PathLike, training: dict | None
 
 def load_model(path: str | os.PathLike) -> MicroModel:
     doc = read_json(path, "micro-model/1", InvalidModel)
+    if doc.get("standardize", True) is not True:  # older files could switch it off
+        raise InvalidModel(f"{path}: weights fit to unstandardized features cannot be applied")
     with json_fields(path, InvalidModel):
         aux = doc["aux_weights"]
         return MicroModel(

@@ -200,18 +200,23 @@ def write_file(path: str | os.PathLike, data: bytes) -> None:
     """Commit ``data`` to ``path`` whole, or raise IoFailure and leave ``path`` as it was.
 
     Writes ``.<name>.<random>.tmp`` beside the target, with the mode that
-    ``open(path, "w")`` gives, and renames it over the target. Nothing is
-    synced to disk: this covers an interrupted process, not a power loss.
+    ``open(path, "w")`` gives (an existing target's mode, else
+    ``0o666 & ~umask``), and renames it over the target. A symlinked target
+    is resolved, so the file it points to is replaced. The owner is the
+    writer's. Nothing is synced to disk: this covers an interrupted process,
+    not a power loss.
     """
     path = os.fspath(path)
-    directory, name = os.path.split(path)
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        if directory:
-            os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         with open(tmp, "xb") as fh:
+            with suppress(FileNotFoundError):
+                os.fchmod(fh.fileno(), os.stat(target).st_mode & 0o7777)
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     finally:

@@ -326,6 +326,9 @@ class TestExitCodes:
         ["phantom", "--n", "-1"],
         ["gradcheck", "--size", "0"],
         ["atlas", "--iters", "-3"],
+        ["phantom", "--jitter-trans", "inf"],
+        ["phantom", "--jitter-scale", "1,inf"],
+        ["phantom", "--spacing", "inf", "--jitter-trans", "inf"],
     ], ids=" ".join)
     def test_bad_parameter_is_typed_error(self, pipeline, tmp_path, capsys, argv):
         given = {

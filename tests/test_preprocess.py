@@ -29,6 +29,11 @@ class TestFovSpec:
         with pytest.raises(InvalidSpacing):
             FovSpec((16, 16, 16), 0.0)
 
+    @pytest.mark.parametrize("spacing", [float("inf"), float("nan")])
+    def test_rejects_nonfinite_spacing(self, spacing):
+        with pytest.raises(InvalidSpacing):
+            FovSpec((16, 16, 16), spacing)
+
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             FovSpec((4, 16, 16), 1.0)

@@ -304,6 +304,18 @@ class TestSerialization:
         with pytest.raises(error):
             load_model(path)
 
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_older_standardize_key(self, tmp_path, standardize):
+        names = feature_names(False)
+        save_model(init_model(names), tmp_path / "m.json")
+        doc = json.loads((tmp_path / "m.json").read_text())
+        (tmp_path / "m.json").write_text(json.dumps({**doc, "standardize": standardize}))
+        if standardize:
+            assert load_model(tmp_path / "m.json").feature_names == names
+        else:
+            with pytest.raises(InvalidModel, match="unstandardized"):
+                load_model(tmp_path / "m.json")
+
     def test_trace_csv_layout(self, tmp_path):
         trace = [
             {"epoch": 0.0, "total": 1.5, "ce": 1.0, "gdice": 0.5},

@@ -331,6 +331,24 @@ class TestWriteFile:
         write_file(tmp_path / "a.txt", b"x")
         assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o666 & ~_umask()
 
+    def test_existing_target_keeps_its_mode(self, tmp_path):
+        target = tmp_path / "a.txt"
+        target.write_bytes(b"old")
+        target.chmod(0o640)
+        write_file(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+    def test_symlinked_target_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        (tmp_path / "real" / "a.txt").write_bytes(b"old")
+        link = tmp_path / "a.txt"
+        link.symlink_to(tmp_path / "real" / "a.txt")
+        write_file(link, b"new")
+        assert link.is_symlink()
+        assert (tmp_path / "real" / "a.txt").read_bytes() == b"new"
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["a.txt"]
+
     def test_creates_parent_directories(self, tmp_path):
         write_file(tmp_path / "a" / "b" / "c.txt", b"x")
         assert (tmp_path / "a" / "b" / "c.txt").read_bytes() == b"x"
