@@ -297,36 +297,36 @@ def relation_loss(
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
 
     seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
-    p_mean, p_std, t_mean, t_std = stats.relation_arrays()
     G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
     dist_val = 0.0
     angle_val = 0.0
 
     if w_d > 0.0:
         I, J = PAIRS.T
-        ok = np.isfinite(length[I, J]) & (p_std > 0.0) & np.isfinite(p_mean)
+        ok = np.isfinite(length[I, J]) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
         if ok.any():
-            I, J = I[ok], J[ok]
+            I, J, mean, std = I[ok], J[ok], stats.pair_mean[ok], stats.pair_std[ok]
             dvec, d = seg[I, J], length[I, J]
-            z = (d - p_mean[ok]) / p_std[ok]
+            z = (d - mean) / std
             dist_val = w_d * float(z @ z)
             if need_grad:
-                coef = 2.0 * w_d * z / (p_std[ok] * d)
+                coef = 2.0 * w_d * z / (std * d)
                 np.add.at(G, I, coef[:, None] * dvec)
                 np.add.at(G, J, -coef[:, None] * dvec)
 
     if w_a > 0.0:
-        ok = np.isfinite(cos) & (t_std > 0.0) & np.isfinite(t_mean)
+        ok = np.isfinite(cos) & (stats.triple_std > 0.0) & np.isfinite(stats.triple_mean)
         if ok.any():
             I, J, K = TRIPLES[ok].T
+            mean, std = stats.triple_mean[ok], stats.triple_std[ok]
             u, v, nu, nv, cos = seg[I, J], seg[K, J], length[I, J], length[K, J], cos[ok]
-            z = (cos - t_mean[ok]) / t_std[ok]
+            z = (cos - mean) / std
             angle_val = w_a * float(z @ z)
             if need_grad:
                 # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
                 dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
                 dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
-                coef = (2.0 * w_a * z / t_std[ok])[:, None]
+                coef = (2.0 * w_a * z / std)[:, None]
                 np.add.at(G, I, coef * dc_du)
                 np.add.at(G, K, coef * dc_dv)
                 np.add.at(G, J, -coef * (dc_du + dc_dv))
@@ -464,6 +464,7 @@ def _gradcheck_stats(name: str, p: ProbVolume) -> tuple[ShapeStats, dict[str, fl
     """
     d = case_descriptor(p)
     sign = np.where(np.arange(N_CLASSES) % 2 == 0, 1.0, -1.0)
+    triple_sign = np.where(TRIPLES.sum(axis=1) % 2 == 0, 1.0, -1.0)
     if name == "total":
         weights = dict.fromkeys(default_weights(), 1e-3)
         weights["gdice"] = 1.0
@@ -472,30 +473,28 @@ def _gradcheck_stats(name: str, p: ProbVolume) -> tuple[ShapeStats, dict[str, fl
         volume_std = 0.05 * d.soft_volume
         centroid_mean = d.soft_centroid + np.outer(sign, (0.01, -0.0075, 0.005))
         second_moment_mean = d.second_moment * (1.0 + 0.0003 * sign)[:, None, None]
-        pair_stats = {k: (v + 0.015, 2.0, 3) for k, v in d.pair_distance.items()}
-        triple_stats = {
-            k: (v + 0.0075 * (1.0 if sum(k) % 2 == 0 else -1.0), 1.5, 3)
-            for k, v in d.triple_cosine.items()
-        }
+        pair_mean, pair_std = d.pair_distance + 0.015, 2.0
+        triple_mean, triple_std = d.triple_cosine + 0.0075 * triple_sign, 1.5
     else:
         weights = default_weights()
         volume_mean = d.soft_volume * (1.0 + 0.2 * sign)
         volume_std = 0.5 * d.soft_volume
         centroid_mean = d.soft_centroid + np.outer(sign, (0.25, -0.2, 0.15))
         second_moment_mean = d.second_moment * (1.0 + 0.03 * sign)[:, None, None]
-        pair_stats = {k: (v + 0.04, 0.1, 3) for k, v in d.pair_distance.items()}
-        triple_stats = {
-            k: (v + 0.02 * (1.0 if sum(k) % 2 == 0 else -1.0), 0.05, 3)
-            for k, v in d.triple_cosine.items()
-        }
+        pair_mean, pair_std = d.pair_distance + 0.04, 0.1
+        triple_mean, triple_std = d.triple_cosine + 0.02 * triple_sign, 0.05
     stats = ShapeStats(
         volume_mean=volume_mean,
         volume_std=volume_std,
         centroid_mean=centroid_mean,
         second_moment_mean=second_moment_mean,
         class_n=np.full(N_CLASSES, 3, dtype=np.intp),
-        pair_stats=pair_stats,
-        triple_stats=triple_stats,
+        pair_mean=pair_mean,
+        pair_std=np.full(len(PAIRS), pair_std),
+        pair_n=np.full(len(PAIRS), 3),
+        triple_mean=triple_mean,
+        triple_std=np.full(len(TRIPLES), triple_std),
+        triple_n=np.full(len(TRIPLES), 3),
         n_cases=3,
     )
     return stats, weights

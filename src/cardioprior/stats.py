@@ -10,7 +10,8 @@ basis of coordinate monomials about the grid centre (``grid_basis``).
 
 Centroid relations are stored as pairwise distances (mm) and as cosines of
 the angle at a vertex centroid, which avoids any angle-unit or wraparound
-convention. Population statistics use population (divide-by-n) standard
+convention, in arrays on the rows of the one relation table (PAIRS,
+TRIPLES); class-id keys appear only in stats.json. Population statistics use population (divide-by-n) standard
 deviations and are computed per quantity only over the cases where that
 quantity is present.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,10 +38,6 @@ MASS_EPSILON = 1e-6
 #: Centroid segments shorter than this (mm) yield no distance or cosine, in
 #: the descriptors and in the relation loss alike.
 MIN_SEGMENT_MM = 1e-6
-
-PairKey = tuple[int, int]
-TripleKey = tuple[int, int, int]  # (i, j, k): angle at vertex j, i < k
-
 
 #: Coordinate-axis pairs of the quadratic grid-basis rows 4..9.
 _QUADRATIC = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
@@ -161,25 +158,19 @@ def relation_geometry(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return seg, length, cos
 
 
-def relations(
-    centroids: np.ndarray, present: np.ndarray
-) -> tuple[dict[PairKey, float], dict[TripleKey, float]]:
+def relations(centroids: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise distances and vertex cosines of a centroid constellation.
 
     ``centroids`` has one row per foreground class (class ids 1..7 map to
-    rows 0..6); keys in the returned maps use class ids. Pairs need both
-    endpoints present; triples (i, j, k) with vertex j and i < k need all
-    three. Entries whose segments are shorter than MIN_SEGMENT_MM are
-    omitted rather than reported as degenerate values.
+    rows 0..6). Returns the distance of every PAIRS row (21,) and the
+    cosine of every TRIPLES row (105,); a relation touching an absent class
+    or a segment below MIN_SEGMENT_MM is nan, as in relation_geometry.
     """
     m = np.full((N_CLASSES, 3), np.nan)
     rows = np.asarray(present, dtype=bool)
     m[1:][rows] = np.asarray(centroids, dtype=np.float64)[rows]
     _, length, cos = relation_geometry(m)
-    dist = length[PAIRS[:, 0], PAIRS[:, 1]]
-    pair_distance = {tuple(k): float(d) for k, d in zip(PAIRS.tolist(), dist) if np.isfinite(d)}
-    triple_cosine = {tuple(k): float(c) for k, c in zip(TRIPLES.tolist(), cos) if np.isfinite(c)}
-    return pair_distance, triple_cosine
+    return length[PAIRS[:, 0], PAIRS[:, 1]], cos
 
 
 @dataclass(frozen=True)
@@ -190,8 +181,8 @@ class CaseDescriptor:
     soft_centroid: np.ndarray  # (8, 3) mm, nan where absent
     second_moment: np.ndarray  # (8, 3, 3) mm^2, nan where absent
     present: np.ndarray  # (8,) bool
-    pair_distance: dict[PairKey, float] = field(default_factory=dict)
-    triple_cosine: dict[TripleKey, float] = field(default_factory=dict)
+    pair_distance: np.ndarray  # (21,) mm on the PAIRS rows, nan where skipped
+    triple_cosine: np.ndarray  # (105,) on the TRIPLES rows, nan where skipped
 
 
 def case_descriptor(p: ProbVolume) -> CaseDescriptor:
@@ -208,8 +199,9 @@ def case_descriptor(p: ProbVolume) -> CaseDescriptor:
 class ShapeStats:
     """Population statistics parameterizing the shape-aware losses.
 
-    Arrays are indexed by class id; entries for classes never observed are
-    nan with n = 0. Stds are population (divide-by-n) values.
+    Class arrays are indexed by class id, pair arrays by PAIRS row and
+    triple arrays by TRIPLES row; entries never observed are nan with
+    n = 0. Stds are population (divide-by-n) values.
     """
 
     volume_mean: np.ndarray  # (8,)
@@ -217,69 +209,56 @@ class ShapeStats:
     centroid_mean: np.ndarray  # (8, 3)
     second_moment_mean: np.ndarray  # (8, 3, 3)
     class_n: np.ndarray  # (8,) int
-    pair_stats: dict[PairKey, tuple[float, float, int]]  # mean, std, n
-    triple_stats: dict[TripleKey, tuple[float, float, int]]  # cos mean, std, n
+    pair_mean: np.ndarray  # (21,) mm
+    pair_std: np.ndarray  # (21,)
+    pair_n: np.ndarray  # (21,) int
+    triple_mean: np.ndarray  # (105,) cosine
+    triple_std: np.ndarray  # (105,)
+    triple_n: np.ndarray  # (105,) int
     n_cases: int
 
     def class_usable(self, c: int) -> bool:
         return int(self.class_n[c]) >= 1
 
-    def relation_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Pair and triple (mean, std) aligned with PAIRS and TRIPLES.
 
-        A relation without stats gets mean nan and std 0.
-        """
-        return (*_aligned(PAIRS, self.pair_stats), *_aligned(TRIPLES, self.triple_stats))
-
-
-def _aligned(table: np.ndarray, entries: dict) -> tuple[np.ndarray, np.ndarray]:
-    mean = np.full(len(table), np.nan)
-    std = np.zeros(len(table))
-    for t, key in enumerate(table.tolist()):
-        e = entries.get(tuple(key))
-        if e is not None:
-            mean[t], std[t] = e[0], e[1]
-    return mean, std
+def _column_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, population std and count of each column over its finite entries."""
+    have = np.isfinite(values)
+    mean = np.full(values.shape[1], np.nan)
+    std = np.full(values.shape[1], np.nan)
+    for t in np.flatnonzero(have.any(axis=0)):
+        col = values[have[:, t], t]
+        mean[t] = col.mean()
+        std[t] = col.std()  # population (divide-by-n)
+    return mean, std, have.sum(axis=0)
 
 
 def aggregate(descriptors: list[CaseDescriptor]) -> ShapeStats:
     """Means and population stds per quantity over the cases where it is present."""
     if not descriptors:
         raise ValueError("need at least one case descriptor")
-    vol_mean = np.full(N_CLASSES, np.nan)
-    vol_std = np.full(N_CLASSES, np.nan)
+    vol_mean, vol_std, class_n = _column_stats(np.array([d.soft_volume for d in descriptors]))
     cent_mean = np.full((N_CLASSES, 3), np.nan)
     mom_mean = np.full((N_CLASSES, 3, 3), np.nan)
-    class_n = np.zeros(N_CLASSES, dtype=np.int64)
-    for c in FOREGROUND_CLASSES:
+    for c in np.flatnonzero(class_n):
         have = [d for d in descriptors if d.present[c]]
-        class_n[c] = len(have)
-        if not have:
-            continue
-        vols = np.array([d.soft_volume[c] for d in have])
-        vol_mean[c] = vols.mean()
-        vol_std[c] = vols.std()  # population (divide-by-n)
         cent_mean[c] = np.mean([d.soft_centroid[c] for d in have], axis=0)
         mom_mean[c] = np.mean([d.second_moment[c] for d in have], axis=0)
-
-    def _collect(key_of) -> dict:
-        keys = sorted({k for d in descriptors for k in key_of(d)})
-        out = {}
-        for k in keys:
-            vals = np.array([key_of(d)[k] for d in descriptors if k in key_of(d)])
-            out[k] = (float(vals.mean()), float(vals.std()), int(vals.size))
-        return out
-
     return ShapeStats(
-        volume_mean=vol_mean,
-        volume_std=vol_std,
-        centroid_mean=cent_mean,
-        second_moment_mean=mom_mean,
-        class_n=class_n,
-        pair_stats=_collect(lambda d: d.pair_distance),
-        triple_stats=_collect(lambda d: d.triple_cosine),
+        vol_mean, vol_std, cent_mean, mom_mean, class_n,
+        *_column_stats(np.array([d.pair_distance for d in descriptors])),
+        *_column_stats(np.array([d.triple_cosine for d in descriptors])),
         n_cases=len(descriptors),
     )
+
+
+def _table_entries(table, key, fields, mean, std, n) -> list[dict]:
+    """The observed rows of a relation table as stats.json entries, in sorted key order."""
+    return [
+        {key: table[t].tolist(), fields[0]: float(mean[t]), fields[1]: float(std[t]),
+         "n": int(n[t])}
+        for t in np.lexsort(table.T[::-1]) if n[t] > 0
+    ]
 
 
 def save_stats(stats: ShapeStats, path: str | os.PathLike) -> None:
@@ -302,14 +281,10 @@ def save_stats(stats: ShapeStats, path: str | os.PathLike) -> None:
             }
             for c in FOREGROUND_CLASSES
         ],
-        "pairs": [
-            {"pair": list(k), "mean": m, "std": s, "n": n}
-            for k, (m, s, n) in sorted(stats.pair_stats.items())
-        ],
-        "triples": [
-            {"triple": list(k), "cos_mean": m, "cos_std": s, "n": n}
-            for k, (m, s, n) in sorted(stats.triple_stats.items())
-        ],
+        "pairs": _table_entries(PAIRS, "pair", ("mean", "std"),
+                                stats.pair_mean, stats.pair_std, stats.pair_n),
+        "triples": _table_entries(TRIPLES, "triple", ("cos_mean", "cos_std"),
+                                  stats.triple_mean, stats.triple_std, stats.triple_n),
     }
     write_json(path, doc)
 
@@ -323,6 +298,20 @@ def _std(value, what: str) -> float:
     if not (math.isfinite(std) and std >= 0.0):
         raise InvalidStats(f"{what} must be finite and >= 0, got {value!r}")
     return std
+
+
+def _table_rows(entries, table, key, fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, std and n arrays on the table's rows from stats.json entries."""
+    row_of = {tuple(k): t for t, k in enumerate(table.tolist())}
+    mean = np.full(len(table), np.nan)
+    std = np.full(len(table), np.nan)
+    n = np.zeros(len(table), dtype=np.int64)
+    for e in entries:
+        t = row_of[tuple(e[key])]
+        mean[t] = e[fields[0]]
+        std[t] = _std(e[fields[1]], f"{fields[1]} of {key} {e[key]}")
+        n[t] = e["n"]
+    return mean, std, n
 
 
 def load_stats(path: str | os.PathLike) -> ShapeStats:
@@ -345,17 +334,7 @@ def load_stats(path: str | os.PathLike) -> ShapeStats:
             vol_std[c] = _std(entry["volume_std"], f"volume_std of class {c}")
             cent_mean[c] = entry["centroid_mean"]
             mom_mean[c] = np.asarray(entry["second_moment_mean"]).reshape(3, 3)
-        pair_stats = {
-            tuple(e["pair"]): (e["mean"], _std(e["std"], f"std of pair {e['pair']}"), e["n"])
-            for e in doc["pairs"]
-        }
-        triple_stats = {
-            tuple(e["triple"]): (e["cos_mean"],
-                                 _std(e["cos_std"], f"cos_std of triple {e['triple']}"), e["n"])
-            for e in doc["triples"]
-        }
+        pairs = _table_rows(doc["pairs"], PAIRS, "pair", ("mean", "std"))
+        triples = _table_rows(doc["triples"], TRIPLES, "triple", ("cos_mean", "cos_std"))
         n_cases = doc["n_cases"]
-    return ShapeStats(
-        vol_mean, vol_std, cent_mean, mom_mean, class_n,
-        pair_stats, triple_stats, n_cases,
-    )
+    return ShapeStats(vol_mean, vol_std, cent_mean, mom_mean, class_n, *pairs, *triples, n_cases)

@@ -27,7 +27,7 @@ from .align import HeatmapAtlas
 from .errors import ArityMismatch, GridMismatch, InvalidModel, InvalidParameter, NonfiniteLoss
 from .losses import WEIGHT_KEYS, LossConfig, softmax, total_loss
 from .preprocess import FovSpec
-from .stats import ShapeStats, case_descriptor
+from .stats import PAIRS, TRIPLES, ShapeStats, case_descriptor
 from .volume import (
     CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, json_fields, one_hot, read_json, write_file,
     write_json,
@@ -378,14 +378,12 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
         centroid_mean=mid_cent + np.outer(sign, (0.25, -0.2, 0.15)),
         second_moment_mean=mid_mom * (1.0 + 0.01 * sign)[:, None, None],
         class_n=np.full(N_CLASSES, 3, dtype=np.intp),
-        pair_stats={
-            k: (0.5 * (v + descs[1].pair_distance[k]) + 0.04, 1.5, 3)
-            for k, v in descs[0].pair_distance.items()
-        },
-        triple_stats={
-            k: (0.5 * (v + descs[1].triple_cosine[k]) + 0.02, 2.0, 3)
-            for k, v in descs[0].triple_cosine.items()
-        },
+        pair_mean=0.5 * (descs[0].pair_distance + descs[1].pair_distance) + 0.04,
+        pair_std=np.full(len(PAIRS), 1.5),
+        pair_n=np.full(len(PAIRS), 3),
+        triple_mean=0.5 * (descs[0].triple_cosine + descs[1].triple_cosine) + 0.02,
+        triple_std=np.full(len(TRIPLES), 2.0),
+        triple_n=np.full(len(TRIPLES), 3),
         n_cases=3,
     )
     cfg = TrainConfig(loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, epochs=1)

@@ -7,6 +7,8 @@ a bug in the library cannot cancel against a bug in the test.
 
 import numpy as np
 
+from cardioprior.stats import PAIRS, TRIPLES  # the row layout of the relation statistics
+
 
 def voxel_centers(dims, spacing, offset):
     """List of (n, 3) world coordinates of all voxel centers, x-major order."""
@@ -239,7 +241,7 @@ def dense_moment_loss(p, stats):
 def dense_relation_loss(p, stats):
     """Unit-weight relation loss and its probability gradient, per relation.
 
-    Loops over the pair and triple statistics with the loss's skip rules
+    Loops over the pair and triple table rows with the loss's skip rules
     (zero std, non-finite mean, absent class, segment below 1e-6 mm),
     accumulates dL/dm per class, then spreads it per voxel as
     dL/dm_c . d / mass_c with d = x - m_c.
@@ -257,7 +259,7 @@ def dense_relation_loss(p, stats):
         n = float(np.sqrt(s @ s))
         return (s, n) if n >= 1e-6 else (None, None)
 
-    for (i, j), (mean, std, _) in stats.pair_stats.items():
+    for (i, j), mean, std in zip(PAIRS.tolist(), stats.pair_mean, stats.pair_std):
         s, n = segment(i, j)
         if s is None or not std > 0.0 or not np.isfinite(mean):
             continue
@@ -265,7 +267,7 @@ def dense_relation_loss(p, stats):
         value += z * z
         G[i] += 2.0 * z / std * s / n
         G[j] -= 2.0 * z / std * s / n
-    for (i, j, k), (mean, std, _) in stats.triple_stats.items():
+    for (i, j, k), mean, std in zip(TRIPLES.tolist(), stats.triple_mean, stats.triple_std):
         a, na = segment(i, j)
         b, nb = segment(k, j)
         if a is None or b is None or not std > 0.0 or not np.isfinite(mean):

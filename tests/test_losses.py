@@ -25,6 +25,7 @@ from cardioprior import (
     volume_loss,
 )
 from cardioprior.losses import CE_CLAMP, EPSILON_GD
+from cardioprior.stats import PAIRS, TRIPLES
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
 
@@ -43,12 +44,27 @@ def hand_stats(**overrides):
         centroid_mean=np.full((N_CLASSES, 3), np.nan),
         second_moment_mean=np.full((N_CLASSES, 3, 3), np.nan),
         class_n=np.zeros(N_CLASSES, dtype=np.int64),
-        pair_stats={},
-        triple_stats={},
+        pair_mean=np.full(len(PAIRS), np.nan),
+        pair_std=np.full(len(PAIRS), np.nan),
+        pair_n=np.zeros(len(PAIRS), dtype=np.int64),
+        triple_mean=np.full(len(TRIPLES), np.nan),
+        triple_std=np.full(len(TRIPLES), np.nan),
+        triple_n=np.zeros(len(TRIPLES), dtype=np.int64),
         n_cases=2,
     )
     base.update(overrides)
     return ShapeStats(**base)
+
+
+#: PAIRS row of the pair (1, 2)
+P12 = PAIRS.tolist().index([1, 2])
+
+
+def pair_12(mean, std, n=2):
+    """hand_stats overrides that give statistics to the pair (1, 2) only."""
+    row = np.arange(len(PAIRS)) == P12
+    return dict(pair_mean=np.where(row, mean, np.nan), pair_std=np.where(row, std, np.nan),
+                pair_n=np.where(row, n, 0))
 
 
 def two_class_labels():
@@ -260,8 +276,12 @@ def shifted_stats(p):
         centroid_mean=d.soft_centroid + np.outer(sign, (1.5, -1.0, 2.0)),
         second_moment_mean=d.second_moment * (1.0 + 0.2 * sign)[:, None, None],
         class_n=np.full(N_CLASSES, 3),
-        pair_stats={k: (1.1 * v + 0.5, 1.0, 3) for k, v in d.pair_distance.items()},
-        triple_stats={k: (0.8 * v, 0.2, 3) for k, v in d.triple_cosine.items()},
+        pair_mean=1.1 * d.pair_distance + 0.5,
+        pair_std=np.where(np.isfinite(d.pair_distance), 1.0, np.nan),
+        pair_n=np.where(np.isfinite(d.pair_distance), 3, 0),
+        triple_mean=0.8 * d.triple_cosine,
+        triple_std=np.where(np.isfinite(d.triple_cosine), 0.2, np.nan),
+        triple_n=np.where(np.isfinite(d.triple_cosine), 3, 0),
     )
 
 
@@ -299,7 +319,7 @@ class TestRelationLoss:
         desc = case_descriptor(p)
         stats = hand_stats(
             class_n=np.isin(np.arange(8), (1, 2)).astype(np.int64),
-            pair_stats={(1, 2): (desc.pair_distance[(1, 2)], 1.0, 2)},
+            **pair_12(desc.pair_distance[P12], 1.0),
         )
         ev = relation_loss(p, stats)
         assert ev.value == pytest.approx(0.0, abs=1e-18)
@@ -312,7 +332,7 @@ class TestRelationLoss:
         s = 0.8
         stats = hand_stats(
             class_n=np.isin(np.arange(8), (1, 2)).astype(np.int64),
-            pair_stats={(1, 2): (desc.pair_distance[(1, 2)] - s, s, 2)},
+            **pair_12(desc.pair_distance[P12] - s, s),
         )
         ev = relation_loss(p, stats)
         assert ev.terms["relation_dist"] == pytest.approx(1.0, abs=1e-9)
@@ -322,7 +342,7 @@ class TestRelationLoss:
         desc = case_descriptor(p)
         stats = hand_stats(
             class_n=np.isin(np.arange(8), (1, 2)).astype(np.int64),
-            pair_stats={(1, 2): (desc.pair_distance[(1, 2)] - 0.5, 0.5, 2)},
+            **pair_12(desc.pair_distance[P12] - 0.5, 0.5),
         )
         moved = ProbVolume(p.data, p.spacing, (7.0, -11.0, 3.5))
         assert relation_loss(moved, stats).value == pytest.approx(
@@ -371,10 +391,14 @@ class TestOwnStatsScoreZero:
     def test_relation_loss_is_exactly_zero(self):
         p = self.soft_case()
         stats = stats_for(p)
-        unit = {k: (m, 1.0, n) for k, (m, _, n) in stats.pair_stats.items()}
-        unit_t = {k: (m, 1.0, n) for k, (m, _, n) in stats.triple_stats.items()}
-        stats = hand_stats(class_n=stats.class_n, pair_stats=unit, triple_stats=unit_t)
-        assert len(unit) == 21 and len(unit_t) == 105
+        stats = hand_stats(
+            class_n=stats.class_n,
+            pair_mean=stats.pair_mean, pair_std=np.where(stats.pair_n > 0, 1.0, np.nan),
+            pair_n=stats.pair_n,
+            triple_mean=stats.triple_mean, triple_std=np.where(stats.triple_n > 0, 1.0, np.nan),
+            triple_n=stats.triple_n,
+        )
+        assert np.count_nonzero(stats.pair_n) == 21 and np.count_nonzero(stats.triple_n) == 105
         ev = relation_loss(p, stats)
         assert ev.value == 0.0
         assert not np.any(ev.grad)
@@ -389,7 +413,7 @@ class TestOwnStatsScoreZero:
         p = ProbVolume(data, (1.0, 1.0, 1.0))
         stats = hand_stats(
             class_n=np.isin(np.arange(8), (1, 2)).astype(np.int64),
-            pair_stats={(1, 2): (3.0, 1.0, 2)},
+            **pair_12(3.0, 1.0),
         )
         ev = relation_loss(p, stats)
         assert ev.terms["relation_dist"] == 0.0
@@ -474,6 +498,10 @@ def stats_for_nonzero_sigma(p):
         centroid_mean=stats.centroid_mean,
         second_moment_mean=stats.second_moment_mean,
         class_n=stats.class_n,
-        pair_stats={k: (v[0], 1.0, 2) for k, v in stats.pair_stats.items()},
-        triple_stats={k: (v[0], 1.0, 2) for k, v in stats.triple_stats.items()},
+        pair_mean=stats.pair_mean,
+        pair_std=np.where(stats.pair_n > 0, 1.0, np.nan),
+        pair_n=np.where(stats.pair_n > 0, 2, 0),
+        triple_mean=stats.triple_mean,
+        triple_std=np.where(stats.triple_n > 0, 1.0, np.nan),
+        triple_n=np.where(stats.triple_n > 0, 2, 0),
     )

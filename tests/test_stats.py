@@ -19,9 +19,13 @@ from cardioprior import (
     soft_second_moment,
     soft_volume,
 )
-from cardioprior.stats import grid_basis
+from cardioprior.stats import PAIRS, TRIPLES, grid_basis
 from conftest import label_volume
 from oracles import brute_soft_centroid, brute_soft_second_moment, soft_blob_case
+
+
+PAIR_ROW = {tuple(k): t for t, k in enumerate(PAIRS.tolist())}
+TRIPLE_ROW = {tuple(k): t for t, k in enumerate(TRIPLES.tolist())}
 
 
 def soft_map(rng, dims=(5, 4, 3), spacing=(1.0, 1.0, 1.0), offset=(0.0, 0.0, 0.0)):
@@ -127,7 +131,7 @@ class TestGridBasis:
 
         def moments(p):
             d = case_descriptor(p)
-            return d.soft_centroid.tobytes(), d.second_moment.tobytes(), d.pair_distance
+            return d.soft_centroid.tobytes(), d.second_moment.tobytes(), d.pair_distance.tobytes()
 
         grid_basis.cache_clear()
         fresh = [moments(p) for p in cases]
@@ -151,12 +155,12 @@ class TestRelations:
     def test_hand_geometry(self):
         pts, present = self.constellation()
         dist, cos = relations(pts, present)
-        assert dist[(1, 2)] == pytest.approx(1.0)
-        assert dist[(1, 3)] == pytest.approx(1.0)
-        assert dist[(2, 3)] == pytest.approx(np.sqrt(2.0))
-        assert cos[(2, 1, 3)] == pytest.approx(0.0, abs=1e-15)
-        assert cos[(1, 2, 3)] == pytest.approx(1.0 / np.sqrt(2.0))
-        assert cos[(1, 3, 2)] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert dist[PAIR_ROW[(1, 2)]] == pytest.approx(1.0)
+        assert dist[PAIR_ROW[(1, 3)]] == pytest.approx(1.0)
+        assert dist[PAIR_ROW[(2, 3)]] == pytest.approx(np.sqrt(2.0))
+        assert cos[TRIPLE_ROW[(2, 1, 3)]] == pytest.approx(0.0, abs=1e-15)
+        assert cos[TRIPLE_ROW[(1, 2, 3)]] == pytest.approx(1.0 / np.sqrt(2.0))
+        assert cos[TRIPLE_ROW[(1, 3, 2)]] == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_collinear_gives_unit_cosines(self):
         # classes 1, 2, 3 on a line: vertex between its neighbors sees -1,
@@ -167,25 +171,25 @@ class TestRelations:
         present = np.zeros(7, dtype=bool)
         present[:3] = True
         _, cos = relations(pts, present)
-        assert cos[(1, 2, 3)] == pytest.approx(-1.0)
-        assert cos[(2, 1, 3)] == pytest.approx(1.0)
-        assert cos[(1, 3, 2)] == pytest.approx(1.0)
+        assert cos[TRIPLE_ROW[(1, 2, 3)]] == pytest.approx(-1.0)
+        assert cos[TRIPLE_ROW[(2, 1, 3)]] == pytest.approx(1.0)
+        assert cos[TRIPLE_ROW[(1, 3, 2)]] == pytest.approx(1.0)
 
     def test_coincident_points_skipped(self):
         pts, present = self.constellation()
         pts[1] = pts[0]
         dist, cos = relations(pts, present)
-        assert (1, 2) not in dist
-        assert (2, 1, 3) not in cos
+        assert np.isnan(dist[PAIR_ROW[(1, 2)]])
+        assert np.isnan(cos[TRIPLE_ROW[(2, 1, 3)]])
 
     def test_segment_below_floor_skipped(self):
         # the same 1e-6 mm floor as relation_loss: a 5e-7 mm pair is no relation
         pts, present = self.constellation()
         pts[1] = pts[0] + (5e-7, 0.0, 0.0)
         dist, cos = relations(pts, present)
-        assert (1, 2) not in dist
-        assert (2, 1, 3) not in cos and (1, 2, 3) not in cos
-        assert (1, 3) in dist
+        assert np.isnan(dist[PAIR_ROW[(1, 2)]])
+        assert np.isnan(cos[TRIPLE_ROW[(2, 1, 3)]]) and np.isnan(cos[TRIPLE_ROW[(1, 2, 3)]])
+        assert np.isfinite(dist[PAIR_ROW[(1, 3)]])
 
     def test_rigid_invariance(self, rng):
         pts = rng.uniform(-15, 15, (7, 3))
@@ -198,10 +202,8 @@ class TestRelations:
         R = np.eye(3) + np.sin(a) * K + (1 - np.cos(a)) * (K @ K)
         T = RigidTransform(R, rng.uniform(-5, 5, 3))
         d1, c1 = relations(T.apply(pts), present)
-        for k in d0:
-            assert abs(d1[k] - d0[k]) < 1e-9
-        for k in c0:
-            assert abs(c1[k] - c0[k]) < 1e-9
+        assert (np.abs(d1 - d0) < 1e-9).all()
+        assert (np.abs(c1 - c0) < 1e-9).all()
 
 
 class TestCaseDescriptor:
@@ -214,7 +216,7 @@ class TestCaseDescriptor:
         assert not desc.present[5]
         assert np.isnan(desc.soft_volume[5])
         assert np.isnan(desc.soft_centroid[5]).all()
-        assert (1, 2) in desc.pair_distance
+        assert np.isfinite(desc.pair_distance[PAIR_ROW[(1, 2)]])
 
     def test_descriptor_matches_elementwise_functions(self, phantom_case):
         _, labels = phantom_case
@@ -245,9 +247,11 @@ class TestAggregate:
             assert stats.volume_mean[c] == pytest.approx(desc.soft_volume[c])
             assert stats.volume_std[c] == 0.0
             assert stats.centroid_mean[c] == pytest.approx(desc.soft_centroid[c])
-        for k, (mean, std, n) in stats.pair_stats.items():
-            assert mean == pytest.approx(desc.pair_distance[k])
-            assert std == 0.0 and n == 1
+        for mean, std, n, d in zip(stats.pair_mean, stats.pair_std, stats.pair_n,
+                                   desc.pair_distance):
+            if n:
+                assert mean == pytest.approx(d)
+                assert std == 0.0 and n == 1
 
     def test_population_std_hand_arithmetic(self):
         stats = aggregate(self.two_volume_cases(90, 110))
@@ -282,19 +286,24 @@ class TestStatsIo:
         np.testing.assert_array_equal(back.centroid_mean, stats.centroid_mean)
         np.testing.assert_array_equal(back.second_moment_mean, stats.second_moment_mean)
         np.testing.assert_array_equal(back.class_n, stats.class_n)
-        assert back.pair_stats == stats.pair_stats
-        assert back.triple_stats == stats.triple_stats
+        for name in ("pair_mean", "pair_std", "pair_n", "triple_mean", "triple_std", "triple_n"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(stats, name))
 
     def test_isolated_stats_object_is_constructible(self):
-        # losses only need the arrays; keys of the relation maps are class-id tuples
+        # losses only need the arrays; relation arrays follow the PAIRS and TRIPLES rows
         stats = ShapeStats(
             volume_mean=np.full(8, np.nan),
             volume_std=np.full(8, np.nan),
             centroid_mean=np.full((8, 3), np.nan),
             second_moment_mean=np.full((8, 3, 3), np.nan),
             class_n=np.zeros(8, dtype=np.int64),
-            pair_stats={},
-            triple_stats={},
+            pair_mean=np.full(len(PAIRS), np.nan),
+            pair_std=np.full(len(PAIRS), np.nan),
+            pair_n=np.zeros(len(PAIRS), dtype=np.int64),
+            triple_mean=np.full(len(TRIPLES), np.nan),
+            triple_std=np.full(len(TRIPLES), np.nan),
+            triple_n=np.zeros(len(TRIPLES), dtype=np.int64),
             n_cases=0,
         )
         assert not stats.class_usable(1)
+

@@ -36,6 +36,7 @@ from cardioprior import (
     train,
     weight_gradcheck,
 )
+from cardioprior.stats import PAIRS, TRIPLES
 
 BASELINE_ONLY = {k: 0.0 for k in ("volume", "moment_centroid", "moment_second",
                                   "relation_dist", "relation_angle")}
@@ -243,7 +244,10 @@ class TestTrain:
             centroid_mean=np.zeros((N_CLASSES, 3)),
             second_moment_mean=np.zeros((N_CLASSES, 3, 3)),
             class_n=np.ones(N_CLASSES, dtype=np.int64),
-            pair_stats={}, triple_stats={}, n_cases=2,
+            pair_mean=np.full(len(PAIRS), np.nan), pair_std=np.full(len(PAIRS), np.nan),
+            pair_n=np.zeros(len(PAIRS), dtype=np.int64),
+            triple_mean=np.full(len(TRIPLES), np.nan), triple_std=np.full(len(TRIPLES), np.nan),
+            triple_n=np.zeros(len(TRIPLES), dtype=np.int64), n_cases=2,
         )
         weights = dict(BASELINE_ONLY, gdice=0.0, ce=0.0, volume=1.0)
         model = init_model(feature_names(False))
