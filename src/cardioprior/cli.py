@@ -48,7 +48,8 @@ from .trainer import (
     train,
 )
 from .volume import (
-    Volume3, argmax_labels, one_hot, payload_path, read_volume, write_json, write_volume,
+    CLASS_NAMES, Volume3, argmax_labels, check_output_dir, one_hot, payload_path, read_volume,
+    write_json, write_volume,
 )
 
 
@@ -263,6 +264,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     inputs, cases = _load_case_pairs(args.data)
     stats = load_stats(args.stats) if args.stats else None
     atlas = load_atlas(args.atlas) if args.atlas else None
+    if args.atlas:  # the files load_atlas reads
+        inputs.append(os.path.join(args.atlas, "atlas.json"))
+        inputs.extend(os.path.join(args.atlas, f"heatmap_{name}.mhd") for name in CLASS_NAMES)
     if args.loss_config:
         loss_cfg = load_loss_config(args.loss_config, stats=stats)
         inputs.append(args.loss_config)
@@ -280,6 +284,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     model = init_model(feature_names(atlas is not None), aux=args.aux_weight > 0.0)
+    check_output_dir(args.out)  # fail before the first epoch, not after the last
     trained, trace = train(model, cases, cfg)
 
     model_path = os.path.join(args.out, "model.json")
@@ -308,12 +313,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     manifest_inputs = _hash_volumes([p for p in inputs if p.endswith(".mhd")])
     manifest_inputs.update({p: _sha256(p) for p in inputs if not p.endswith(".mhd")})
-    if args.atlas:
-        atlas_files = [os.path.join(args.atlas, f) for f in sorted(os.listdir(args.atlas))]
-        manifest_inputs.update(_hash_volumes([f for f in atlas_files if f.endswith(".mhd")]))
-        manifest_inputs.update(
-            {f: _sha256(f) for f in atlas_files if f.endswith(".json")}
-        )
     _write_manifest(args.out, "train", _params(args), manifest_inputs, outputs)
     return 0
 

@@ -500,11 +500,27 @@ def _gradcheck_stats(name: str, p: ProbVolume) -> tuple[ShapeStats, dict[str, fl
     return stats, weights
 
 
+def gradient_errors(analytic: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry absolute and relative error of an analytic gradient against FD.
+
+    The relative error divides by max(|analytic|, |fd|, 1e-8). A check in
+    which no entry of either gradient reaches that 1e-8 floor compares
+    nothing, and raises InvalidParameter rather than passing.
+    """
+    abs_err = np.abs(analytic - fd)
+    scale = np.maximum(np.abs(analytic), np.abs(fd))
+    if not (scale >= 1e-8).any():
+        raise InvalidParameter("gradient check compares nothing: no analytic or finite-"
+                               "difference gradient entry reaches 1e-8")
+    return abs_err, abs_err / np.maximum(scale, 1e-8)
+
+
 def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) -> dict:
     """Analytic vs central finite-difference gradient over every input entry.
 
-    Relative error uses denominator max(|analytic|, |fd|, 1e-8). Returns a
-    JSON-ready report with the max errors and their entry location.
+    Relative error uses denominator max(|analytic|, |fd|, 1e-8); a check
+    with both gradients below that floor everywhere raises InvalidParameter.
+    Returns a JSON-ready report with the max errors and their entry location.
     """
     if loss_name not in GRADCHECK_LOSSES:
         raise UnknownLoss(f"unknown loss {loss_name!r}; known: {GRADCHECK_LOSSES}")
@@ -530,9 +546,7 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
         lo = f(False).value
         flat[idx] = orig
         fd[idx] = (hi - lo) / (2.0 * step)
-    an = analytic.reshape(-1)
-    abs_err = np.abs(an - fd)
-    rel_err = abs_err / np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-8)
+    abs_err, rel_err = gradient_errors(analytic.reshape(-1), fd)
     worst = int(np.argmax(rel_err))
     return {
         "loss": loss_name,

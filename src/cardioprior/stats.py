@@ -301,13 +301,22 @@ def _std(value, what: str) -> float:
 
 
 def _table_rows(entries, table, key, fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, std and n arrays on the table's rows from stats.json entries."""
+    """Mean, std and n arrays on the table's rows from stats.json entries.
+
+    A key that is not a table row, or a row listed twice, raises InvalidStats.
+    """
     row_of = {tuple(k): t for t, k in enumerate(table.tolist())}
     mean = np.full(len(table), np.nan)
     std = np.full(len(table), np.nan)
     n = np.zeros(len(table), dtype=np.int64)
+    seen = np.zeros(len(table), dtype=bool)
     for e in entries:
-        t = row_of[tuple(e[key])]
+        t = row_of.get(tuple(e[key]))
+        if t is None:
+            raise InvalidStats(f"{key} {e[key]} is not a row of the relation table")
+        if seen[t]:
+            raise InvalidStats(f"{key} {e[key]} is listed twice")
+        seen[t] = True
         mean[t] = e[fields[0]]
         std[t] = _std(e[fields[1]], f"{fields[1]} of {key} {e[key]}")
         n[t] = e["n"]

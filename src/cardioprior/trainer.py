@@ -25,7 +25,7 @@ from scipy import ndimage
 from ._version import __version__
 from .align import HeatmapAtlas
 from .errors import ArityMismatch, GridMismatch, InvalidModel, InvalidParameter, NonfiniteLoss
-from .losses import WEIGHT_KEYS, LossConfig, softmax, total_loss
+from .losses import WEIGHT_KEYS, LossConfig, gradient_errors, softmax, total_loss
 from .preprocess import FovSpec
 from .stats import PAIRS, TRIPLES, ShapeStats, case_descriptor
 from .volume import (
@@ -327,7 +327,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     random nonzero weights so no gradient path sits at a symmetric point.
     The central difference is taken term by term (each ``terms`` entry of
     each case, aux_mse included) and then summed. Relative error uses
-    denominator max(|analytic|, |fd|, 1e-8).
+    denominator max(|analytic|, |fd|, 1e-8), as in ``losses.gradcheck``.
     """
     rng = np.random.default_rng(seed)
     grid = FovSpec((8, 8, 8), 2.0)
@@ -413,8 +413,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
             diff = sum(up[1][t] - down[1][t] for up, down in zip(hi, lo) for t in up[1])
             fd[k] = diff / (4.0 * step)  # mean over the 2 cases, central difference
             k += 1
-    abs_err = np.abs(analytic - fd)
-    rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
+    abs_err, rel_err = gradient_errors(analytic, fd)
     worst = int(np.argmax(rel_err))
     head, entry = divmod(worst, W.size)
     return {

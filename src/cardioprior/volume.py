@@ -224,6 +224,19 @@ def write_file(path: str | os.PathLike, data: bytes) -> None:
             os.remove(tmp)  # gone after a successful rename
 
 
+def check_output_dir(path: str | os.PathLike) -> None:
+    """Raise IoFailure unless ``path`` is, or can be made, a writable directory.
+
+    The nearest existing path on the way up must be a directory that this
+    process may write. Nothing is created, so a later failure leaves no trace.
+    """
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not (os.path.isdir(probe) and os.access(probe, os.W_OK | os.X_OK)):
+        raise IoFailure(f"cannot write to {path}: {probe} is not a writable directory")
+
+
 def write_json(path: str | os.PathLike, doc) -> str:
     """Commit ``doc`` as indented, key-sorted JSON plus a newline; returns the text."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -372,12 +385,12 @@ def json_fields(path: str | os.PathLike, error: type[CardioPriorError]):
 
     Wraps the code that reads fields out of a document from :func:`read_json`:
     a ``KeyError`` names the missing key, and a ``TypeError``, ``ValueError``,
-    ``AttributeError`` or ``IndexError`` from a value of the wrong type or
-    shape becomes ``error`` too.
+    ``AttributeError``, ``IndexError`` or ``OverflowError`` from a value of
+    the wrong type, shape or size becomes ``error`` too.
     """
     try:
         yield
     except KeyError as exc:
         raise error(f"{path} lacks the key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise error(f"{path} holds a malformed value: {exc}") from exc

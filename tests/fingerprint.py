@@ -15,9 +15,7 @@ The artifacts:
 * ``cli/<path>``: every file of a tiny CLI chain at 16^3, 6 mm (phantom,
   stats, atlas, train with a loss config, the atlas and the auxiliary head,
   eval with HD95, report). Manifests are hashed without their timestamp and
-  ``--jobs`` echo, with paths relative to the run root, and without the
-  hash of an input that is itself a manifest (``train --atlas`` hashes the
-  atlas directory's manifest.json, timestamp included).
+  ``--jobs`` echo, with paths relative to the run root.
 
 ``--jobs`` sets the training and CLI parallelism; no hash may depend on it.
 The file name keeps pytest from collecting this script.
@@ -131,9 +129,6 @@ def cli_chain(jobs: int, root: str) -> dict[str, str]:
                 doc = json.loads(data)
                 del doc["timestamp"]
                 doc["parameters"].pop("jobs", None)
-                for key in doc["inputs"]:
-                    if key.endswith("manifest.json"):
-                        doc["inputs"][key] = None
                 data = _json_bytes(_relative(doc, root))
             out["cli/" + os.path.relpath(path, root)] = _sha(data)
     return out

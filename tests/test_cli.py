@@ -234,6 +234,12 @@ class TestExitCodes:
         ("pairs", "std", -1.0),
         ("triples", "cos_std", float("nan")),
         (None, "schema", "shape-stats/0"),
+        ("pairs", "pair", [2, 1]),  # reversed
+        ("pairs", "pair", [1, 3]),  # listed twice
+        ("triples", "triple", [3, 2, 1]),  # reversed
+        ("triples", "triple", [1, 2, 8]),  # no such class
+        ("classes", "n", 1e30),  # too large for a count
+        ("pairs", "n", 1e30),
     ])
     def test_invalid_stats_file_is_typed_error(self, pipeline, tmp_path, capsys,
                                                section, key, value):
@@ -343,8 +349,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: InvalidParameter:")
         assert not (tmp_path / "out").exists()
 
+    def test_gradcheck_that_compares_nothing_is_typed_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["gradcheck", "--loss", "relation", "--size", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: InvalidParameter:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["stats", "eval", "train"])
-    def test_unwritable_output_is_typed_error(self, pipeline, tmp_path, capsys, command):
+    def test_unwritable_output_is_typed_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                              command):
+        entered = []
+        monkeypatch.setattr(cli, "train", lambda *args: entered.append(args))
         (tmp_path / "dir").mkdir()
         (tmp_path / "file").write_bytes(b"")
         argv = {
@@ -357,6 +372,7 @@ class TestExitCodes:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: IoFailure:")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+        assert not entered  # the output is checked before training starts
 
     def test_interrupted_write_keeps_the_old_output(self, pipeline, tmp_path, monkeypatch,
                                                     capsys):
@@ -522,6 +538,20 @@ class TestManifestInputs:
             mhd: hashlib.sha256(pathlib.Path(mhd).read_bytes()).hexdigest(),
             str(payload): hashlib.sha256(payload.read_bytes()).hexdigest(),
         }
+
+    def test_rebuilt_atlas_keeps_train_inputs(self, tiny, tmp_path):
+        # train hashes the files load_atlas reads, not the atlas run's timestamped manifest
+        atlas, run = tmp_path / "atlas", tmp_path / "run"
+        inputs = []
+        for _ in range(2):
+            assert main(["atlas", "--labels", str(tiny / "labels"), "--size", "12",
+                         "--spacing", "10", "--out", str(atlas)]) == 0
+            assert main(["train", "--data", str(tiny / "cases"), "--atlas", str(atlas),
+                         "--epochs", "1", "--out", str(run)]) == 0
+            inputs.append(json.loads((run / "manifest.json").read_text())["inputs"])
+        assert inputs[0] == inputs[1]
+        assert str(atlas / "atlas.json") in inputs[0]
+        assert str(atlas / "manifest.json") not in inputs[0]
 
 
 class TestDeterminism:

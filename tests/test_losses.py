@@ -5,6 +5,7 @@ from cardioprior import (
     FOREGROUND_CLASSES,
     N_CLASSES,
     InvalidLossConfig,
+    InvalidParameter,
     LossConfig,
     NoUsableStats,
     NotOneHot,
@@ -24,7 +25,7 @@ from cardioprior import (
     total_loss,
     volume_loss,
 )
-from cardioprior.losses import CE_CLAMP, EPSILON_GD
+from cardioprior.losses import CE_CLAMP, EPSILON_GD, gradient_errors
 from cardioprior.stats import PAIRS, TRIPLES
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
@@ -482,6 +483,18 @@ class TestGradcheck:
     def test_unknown_loss(self):
         with pytest.raises(UnknownLoss):
             gradcheck("boundary", size=8, seed=0)
+
+    @pytest.mark.parametrize("loss", ["moment", "relation"])
+    def test_check_that_compares_nothing_is_an_error(self, loss):
+        # one voxel: every centroid sits on it, so both gradients are 0 everywhere
+        with pytest.raises(InvalidParameter, match="compares nothing"):
+            gradcheck(loss, size=1, seed=0)
+
+    def test_gradient_errors_need_one_entry_at_the_floor(self):
+        with pytest.raises(InvalidParameter):
+            gradient_errors(np.zeros(3), np.full(3, 9e-9))
+        abs_err, rel_err = gradient_errors(np.array([0.0, 1e-8]), np.zeros(2))
+        assert abs_err.tolist() == [0.0, 1e-8] and rel_err.tolist() == [0.0, 1.0]
 
 
 # per-class term names used across the tests above

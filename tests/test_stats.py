@@ -1,15 +1,26 @@
+import copy
+import functools
+import json
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cardioprior import (
     FOREGROUND_CLASSES,
     N_CLASSES,
+    FovSpec,
+    InvalidStats,
+    PhantomSpec,
     ProbVolume,
     RigidTransform,
     ShapeStats,
     VanishingMass,
     aggregate,
     case_descriptor,
+    generate,
     load_stats,
     one_hot,
     relations,
@@ -307,3 +318,74 @@ class TestStatsIo:
         )
         assert not stats.class_usable(1)
 
+    def test_keys_are_sorted_table_rows(self, tmp_path, phantom_case):
+        save_stats(aggregate([case_descriptor(one_hot(phantom_case[1]))]), tmp_path / "s.json")
+        doc = json.loads((tmp_path / "s.json").read_text())
+        # stats.json keys: pairs i < j, triples (i, j, k) with vertex j and i < k, sorted
+        assert [e["pair"] for e in doc["pairs"]] == sorted(PAIRS.tolist())
+        assert [e["triple"] for e in doc["triples"]] == sorted(TRIPLES.tolist())
+        for e in doc["pairs"]:
+            e["pair"] = e["pair"][::-1]
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        with pytest.raises(InvalidStats, match="not a row"):
+            load_stats(tmp_path / "s.json")
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every value in a JSON document: dict keys and list indices."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths.extend(_key_paths(value, prefix + (key,)))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def valid_stats_doc(tmp_path_factory):
+    grid = FovSpec((16, 16, 16), 6.0)
+    labels = [generate(PhantomSpec(grid=grid), k)[1] for k in range(2)]
+    path = tmp_path_factory.mktemp("stats") / "stats.json"
+    save_stats(aggregate([case_descriptor(one_hot(lab)) for lab in labels]), path)
+    return json.loads(path.read_text())
+
+
+class TestLoadStatsProperty:
+    """A mutated stats.json loads or raises InvalidStats, never another exception."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_file_loads_or_fails_typed(self, tmp_path, valid_stats_doc, data):
+        doc = copy.deepcopy(valid_stats_doc)
+        mutation = data.draw(st.sampled_from(
+            ["drop", "reverse", "repeat", "invent", "value"]))
+        if mutation == "drop":
+            paths = [p for p in _key_paths(doc) if isinstance(p[-1], str)]
+            *parent, key = data.draw(st.sampled_from(paths))
+            del functools.reduce(operator.getitem, parent, doc)[key]
+        elif mutation == "value":
+            *parent, key = data.draw(st.sampled_from(_key_paths(doc)))
+            functools.reduce(operator.getitem, parent, doc)[key] = data.draw(
+                st.sampled_from(["x", [1, 2], None, float("nan")]))
+        else:
+            section, key = data.draw(st.sampled_from([("pairs", "pair"), ("triples", "triple")]))
+            entries = doc[section]
+            at = data.draw(st.integers(0, len(entries) - 1))
+            if mutation == "reverse":
+                entries[at][key] = entries[at][key][::-1]
+            elif mutation == "repeat":
+                other = (at + data.draw(st.integers(1, len(entries) - 1))) % len(entries)
+                entries[at][key] = list(entries[other][key])
+            else:
+                entries[at][key] = data.draw(st.lists(st.integers(-1, 9), max_size=4))
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_stats(path)
+        except InvalidStats:
+            return
+        assert mutation not in ("reverse", "repeat"), "a key off the relation table loaded"
