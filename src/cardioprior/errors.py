@@ -65,7 +65,7 @@ class VanishingMass(CardioPriorError):
 
 
 class InvalidStats(CardioPriorError):
-    """A stats file with an unknown schema, a missing key, a class-name mismatch or a bad std."""
+    """A stats file with an unknown schema, a missing key, a bad class entry, count or std."""
 
 
 # losses

@@ -204,6 +204,7 @@ def volume_loss(
     value = 0.0
     grad = np.zeros_like(p.data) if need_grad else None
     any_scored = False
+    mass = P.sum(axis=1).tolist()
     for c in FOREGROUND_CLASSES:
         name = CLASS_NAMES[c]
         sigma = float(stats.volume_std[c])
@@ -213,7 +214,7 @@ def volume_loss(
             terms[f"volume_{name}"] = 0.0
             continue
         any_scored = True
-        z = (float(P[c].sum()) * vv - float(stats.volume_mean[c])) / sigma
+        z = (mass[c] * vv - float(stats.volume_mean[c])) / sigma
         term = w * z * z
         terms[f"volume_{name}"] = term
         value += term
@@ -224,12 +225,18 @@ def volume_loss(
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
+def _prior_moments(p: ProbVolume, stats: ShapeStats) -> SoftMoments:
+    """Soft moments of the classes with usable stats: what moment_loss and relation_loss read."""
+    return SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+
+
 def moment_loss(
     p: ProbVolume,
     stats: ShapeStats,
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
+    moments: SoftMoments | None = None,
 ) -> LossEval:
     """Squared L2/Frobenius distance of soft moments to the reference means.
 
@@ -238,39 +245,44 @@ def moment_loss(
     dm/dp(x) = (x - m)/mass and dM/dp(x) = ((x-m)(x-m)^T - M)/mass, a
     quadratic in x per class: it is reduced to ten coefficients on the grid
     basis and evaluated for all classes by one matrix product. Low-mass
-    classes and classes without stats are skipped.
+    classes and classes without stats are skipped. ``moments``, when given,
+    must be the SoftMoments of p over the classes ``stats.class_usable``
+    accepts; total_loss shares one with relation_loss.
     """
     w1 = cfg.weights["moment_centroid"]
     w2 = cfg.weights["moment_second"]
-    mom = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+    mom = _prior_moments(p, stats) if moments is None else moments
     if not mom.present.any():
         raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
+    dm = mom.centroid - stats.centroid_mean
+    dM = mom.second_moment - stats.second_moment_mean
+    # every class at once, with the bits of each class's dm @ dm and
+    # (dM * dM).sum(); (dm * dm).sum(axis=1) and einsum round differently
+    t1 = (w1 * (dm[:, None, :] @ dm[:, :, None])[:, 0, 0]).tolist()
+    t2 = (w2 * (dM * dM).reshape(N_CLASSES, 9).sum(axis=1)).tolist()
+    present = mom.present.tolist()
     terms: dict[str, float] = {}
     value = 0.0
     coef = np.zeros((N_CLASSES, 10))  # gradient of each class in the grid basis
     for c in FOREGROUND_CLASSES:
         name = CLASS_NAMES[c]
-        if not mom.present[c]:
+        if not present[c]:
             terms[f"moment_centroid_{name}"] = 0.0
             terms[f"moment_second_{name}"] = 0.0
             continue
-        M = mom.second_moment[c]
-        dm = mom.centroid[c] - stats.centroid_mean[c]
-        dM = M - stats.second_moment_mean[c]
-        t1 = w1 * float(dm @ dm)
-        t2 = w2 * float((dM * dM).sum())
-        terms[f"moment_centroid_{name}"] = t1
-        terms[f"moment_second_{name}"] = t2
-        value += t1 + t2
+        terms[f"moment_centroid_{name}"] = t1[c]
+        terms[f"moment_second_{name}"] = t2[c]
+        value += t1[c] + t2[c]
         if need_grad:
             # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
             a = 2.0 * w1 / mom.mass[c]
             b = 2.0 * w2 / mom.mass[c]
-            mu = mom.mu[c]
-            sym = dM + dM.T
-            coef[c, 0] = -a * (dm @ mu) + b * (mu @ dM @ mu - float((dM * M).sum()))
-            coef[c, 1:4] = a * dm - b * (sym @ mu)
-            coef[c, 4:7] = b * np.diag(dM)
+            mu, dm_c, dM_c = mom.mu[c], dm[c], dM[c]
+            sym = dM_c + dM_c.T
+            coef[c, 0] = -a * (dm_c @ mu) + b * (
+                mu @ dM_c @ mu - float((dM_c * mom.second_moment[c]).sum()))
+            coef[c, 1:4] = a * dm_c - b * (sym @ mu)
+            coef[c, 4:7] = b * np.diag(dM_c)
             coef[c, 7:] = b * sym[(0, 0, 1), (1, 2, 2)]
     grad = (coef @ mom.basis).reshape(p.data.shape) if need_grad else None
     return LossEval(value=float(value), grad=grad, terms=terms)
@@ -282,6 +294,7 @@ def relation_loss(
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
+    moments: SoftMoments | None = None,
 ) -> LossEval:
     """Squared z-scores of centroid distances and vertex cosines.
 
@@ -289,10 +302,11 @@ def relation_loss(
     over soft centroids. Pairs/triples with zero reference std, missing
     stats, or segments shorter than stats.MIN_SEGMENT_MM are skipped. The
     gradient chains through the centroids via dm_c/dp_c(x) = (x - m_c)/mass_c.
+    ``moments``, when given, is as in moment_loss.
     """
     w_d = cfg.weights["relation_dist"]
     w_a = cfg.weights["relation_angle"]
-    mom = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+    mom = _prior_moments(p, stats) if moments is None else moments
     if int(mom.present.sum()) < 2:
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
 
@@ -303,13 +317,15 @@ def relation_loss(
 
     if w_d > 0.0:
         I, J = PAIRS.T
-        ok = np.isfinite(length[I, J]) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
+        d = length[I, J]
+        ok = np.isfinite(d) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
         if ok.any():
-            I, J, mean, std = I[ok], J[ok], stats.pair_mean[ok], stats.pair_std[ok]
-            dvec, d = seg[I, J], length[I, J]
+            d, mean, std = d[ok], stats.pair_mean[ok], stats.pair_std[ok]
             z = (d - mean) / std
             dist_val = w_d * float(z @ z)
             if need_grad:
+                I, J = I[ok], J[ok]
+                dvec = seg[I, J]
                 coef = 2.0 * w_d * z / (std * d)
                 np.add.at(G, I, coef[:, None] * dvec)
                 np.add.at(G, J, -coef[:, None] * dvec)
@@ -317,12 +333,12 @@ def relation_loss(
     if w_a > 0.0:
         ok = np.isfinite(cos) & (stats.triple_std > 0.0) & np.isfinite(stats.triple_mean)
         if ok.any():
-            I, J, K = TRIPLES[ok].T
-            mean, std = stats.triple_mean[ok], stats.triple_std[ok]
-            u, v, nu, nv, cos = seg[I, J], seg[K, J], length[I, J], length[K, J], cos[ok]
+            cos, mean, std = cos[ok], stats.triple_mean[ok], stats.triple_std[ok]
             z = (cos - mean) / std
             angle_val = w_a * float(z @ z)
             if need_grad:
+                I, J, K = TRIPLES[ok].T
+                u, v, nu, nv = seg[I, J], seg[K, J], length[I, J], length[K, J]
                 # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
                 dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
                 dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
@@ -344,10 +360,10 @@ def relation_loss(
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 
-def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool):
+def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool, **kw):
     """Evaluate one COMPONENTS entry through its module-level function."""
     fn = globals()[COMPONENTS[name][0]]
-    return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad)
+    return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad, **kw)
 
 
 def total_loss(
@@ -362,8 +378,9 @@ def total_loss(
     ``g`` is the uint8 ground-truth label volume. Returns the gradient with
     respect to the logits: with s = softmax, dL/dz_c = p_c (dL/dp_c - sum_d
     p_d dL/dp_d) per voxel. Components whose weights are all zero are not
-    evaluated at all. The component gradients are summed into the first
-    one's buffer and the Jacobian is applied in place.
+    evaluated at all; the moment and relation terms share one soft-moment
+    pass. The component gradients are summed into the first one's buffer
+    and the Jacobian is applied in place.
     """
     _require_labels(g)
     z = np.asarray(logits, dtype=np.float64)
@@ -379,8 +396,11 @@ def total_loss(
     regularized = tuple(n for n in enabled if n != "gdice_ce")
     if regularized and cfg.stats is None:
         raise NoUsableStats(f"cfg.stats required for enabled components {regularized}")
+    kw = dict.fromkeys(enabled, {})
+    if "moment" in enabled and "relation" in enabled:
+        kw["moment"] = kw["relation"] = {"moments": _prior_moments(p, cfg.stats)}
     for name in enabled:
-        ev = _component(name, p, g, cfg, need_grad)
+        ev = _component(name, p, g, cfg, need_grad, **kw[name])
         value += ev.value
         terms.update(ev.terms)
         if need_grad:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptySurface, InvalidLabelValue, ShapeMismatch
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, Volume3
@@ -100,6 +99,8 @@ def surface_distances(
     ``with_hd95`` appends the optional robust variant, the max of the
     directed 95th percentiles, taken from the same distance arrays.
     """
+    from scipy import ndimage  # here, so that importing the package loads no scipy
+
     _require_same_grid(pred, gt)
     p = pred.data == c
     g = gt.data == c

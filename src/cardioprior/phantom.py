@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateSpec, InvalidLabelValue, InvalidParameter, UnknownMode
 from .preprocess import FovSpec
@@ -211,7 +210,9 @@ def generate(spec: PhantomSpec, case_index: int) -> tuple[Volume3, Volume3]:
     return Volume3(image, sp, offset), Volume3(labels, sp, offset)
 
 
-_STRUCT6 = ndimage.generate_binary_structure(3, 1)
+#: The 6-connected structuring element: the centre and its face neighbours.
+_STRUCT6 = np.zeros((3, 3, 3), dtype=bool)
+_STRUCT6[1, 1, :] = _STRUCT6[1, :, 1] = _STRUCT6[:, 1, 1] = True
 
 
 def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
@@ -219,10 +220,13 @@ def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
 
     magnitude means: erode/dilate -> iterations (int >= 0); drop_class ->
     the class id to erase; swap_boundary -> fraction of boundary voxels
-    reassigned to a random differing neighbor's label (seeded).
+    reassigned to a random differing neighbor's label (seeded). Only erode
+    and dilate load scipy.
     """
     out = labels.data.copy()
     if mode == "erode":
+        from scipy import ndimage
+
         it = int(magnitude)
         if it > 0:
             for c in FOREGROUND_CLASSES:
@@ -231,6 +235,8 @@ def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
                     kept = ndimage.binary_erosion(m, _STRUCT6, iterations=it)
                     out[m & ~kept] = 0
     elif mode == "dilate":
+        from scipy import ndimage
+
         it = int(magnitude)
         if it > 0:
             for c in FOREGROUND_CLASSES:

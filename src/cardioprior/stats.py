@@ -41,6 +41,10 @@ MIN_SEGMENT_MM = 1e-6
 
 #: Coordinate-axis pairs of the quadratic grid-basis rows 4..9.
 _QUADRATIC = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+#: The same pairs as index columns, and the quadratic row (0..5) holding
+#: each entry of a symmetric 3x3 matrix in C order.
+_QA, _QB = np.array(_QUADRATIC).T
+_SYM = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
 
 @lru_cache(maxsize=4)
@@ -72,36 +76,34 @@ class SoftMoments:
     ``mass`` (8,), ``centroid`` (8, 3), ``second_moment`` (8, 3, 3) and
     ``present`` (8,) are indexed by class id. A class is present, with
     finite moments, when it is in ``classes`` and its mass reaches the
-    floor; otherwise its moments are nan. The (8, N) probabilities times the
-    (N, 10) grid basis give each class's mass and its raw first and second
-    moments about the grid centre; ``mu`` is the centroid relative to that
-    centre and the central moment is M = R - mu mu^T, each entry computed
-    once and written to both halves, so M is exactly symmetric. Taking the
-    moments about the grid centre rather than the world origin bounds the
+    floor; otherwise its moments are nan, since they are divided by a mass
+    that is nan on its row. The (8, N) probabilities times the (N, 10) grid
+    basis give each class's mass and its raw first and second moments
+    about the grid centre; ``mu`` is the centroid relative to that centre
+    and the central moment is M = R - mu mu^T, each entry computed once and
+    written to both halves, so M is exactly symmetric. Taking the moments
+    about the grid centre rather than the world origin bounds the
     cancellation error of M to about eps * |mu|^2 / ||M||, relative, however
     far the grid sits from the origin.
     """
 
     def __init__(self, p: ProbVolume, classes=range(N_CLASSES)) -> None:
         self.basis = grid_basis(p.dims, p.spacing)
-        centre = np.add(p.offset, np.multiply(p.spacing, np.subtract(p.dims, 1) / 2.0))
         raw = p.data.reshape(N_CLASSES, -1) @ self.basis.T
         self.mass = raw[:, 0]
         self.present = np.zeros(N_CLASSES, dtype=bool)
         self.present[list(classes)] = True
         self.present &= self.mass >= MASS_EPSILON
-        k = self.present
-        mass, first = self.mass[k], raw[k, 1:4]
-        mu = first / mass[:, None]
-        M = np.empty((len(mu), 3, 3))
-        for row, (a, b) in enumerate(_QUADRATIC, start=4):
-            # (sum p u_a u_b - sum p u_a * mu_b) / mass, written to both halves
-            M[:, a, b] = M[:, b, a] = (raw[k, row] - first[:, a] * mu[:, b]) / mass
-        self.mu = np.full((N_CLASSES, 3), np.nan)
-        self.mu[k] = mu
-        self.centroid = centre + self.mu
-        self.second_moment = np.full((N_CLASSES, 3, 3), np.nan)
-        self.second_moment[k] = M
+        mass = np.where(self.present, self.mass, np.nan)[:, None]
+        first = raw[:, 1:4]
+        self.mu = first / mass
+        # (sum p u_a u_b - sum p u_a * mu_b) / mass, once per pair (a, b)
+        quadratic = (raw[:, 4:] - first[:, _QA] * self.mu[:, _QB]) / mass
+        # take, not quadratic[:, _SYM]: that gives a strided M, and sums over
+        # a strided M add in another order
+        self.second_moment = quadratic.take(_SYM, axis=1).reshape(N_CLASSES, 3, 3)
+        centre = [o + s * ((n - 1) / 2.0) for o, s, n in zip(p.offset, p.spacing, p.dims)]
+        self.centroid = self.mu + centre
 
 
 def _class_moments(p: ProbVolume, c: int) -> SoftMoments:
@@ -300,10 +302,20 @@ def _std(value, what: str) -> float:
     return std
 
 
-def _table_rows(entries, table, key, fields) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _whole(value, what: str, lo: int, hi: int) -> int:
+    """A count or class id read from a stats file: a whole number from lo to hi."""
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and float(value).is_integer() and lo <= value <= hi)
+    if not ok:
+        raise InvalidStats(f"{what} must be a whole number from {lo} to {hi}, got {value!r}")
+    return int(value)
+
+
+def _table_rows(entries, table, key, fields, n_cases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean, std and n arrays on the table's rows from stats.json entries.
 
-    A key that is not a table row, or a row listed twice, raises InvalidStats.
+    A key that is not a table row, a row listed twice, or an n outside
+    1..n_cases raises InvalidStats.
     """
     row_of = {tuple(k): t for t, k in enumerate(table.tolist())}
     mean = np.full(len(table), np.nan)
@@ -319,12 +331,17 @@ def _table_rows(entries, table, key, fields) -> tuple[np.ndarray, np.ndarray, np
         seen[t] = True
         mean[t] = e[fields[0]]
         std[t] = _std(e[fields[1]], f"{fields[1]} of {key} {e[key]}")
-        n[t] = e["n"]
+        n[t] = _whole(e["n"], f"n of {key} {e[key]}", 1, n_cases)
     return mean, std, n
 
 
 def load_stats(path: str | os.PathLike) -> ShapeStats:
-    """Read stats.json; a bad JSON text, schema, key, class name or std raises InvalidStats."""
+    """Read stats.json; a bad JSON text, schema, key, class entry, count or std raises InvalidStats.
+
+    Each foreground class has exactly one entry, under its own name. Every
+    n is a whole number from 0 to n_cases (an integer >= 1), and at least 1
+    where the entry gives a mean.
+    """
     doc = read_json(path, "shape-stats/1", InvalidStats)
     vol_mean = np.full(N_CLASSES, np.nan)
     vol_std = np.full(N_CLASSES, np.nan)
@@ -332,18 +349,25 @@ def load_stats(path: str | os.PathLike) -> ShapeStats:
     mom_mean = np.full((N_CLASSES, 3, 3), np.nan)
     class_n = np.zeros(N_CLASSES, dtype=np.int64)
     with json_fields(path, InvalidStats):
+        n_cases = _whole(doc["n_cases"], "n_cases", 1, math.inf)
+        seen = set()
         for entry in doc["classes"]:
-            c = int(entry["id"])
+            c = _whole(entry["id"], "class id", 1, N_CLASSES - 1)
+            if c in seen:
+                raise InvalidStats(f"class {c} is listed twice")
+            seen.add(c)
             if CLASS_NAMES[c] != entry["name"]:
                 raise InvalidStats(f"class name mismatch for id {c}: {entry['name']!r}")
-            class_n[c] = entry["n"]
-            if entry["n"] == 0:
+            has_mean = entry["volume_mean"] is not None
+            class_n[c] = _whole(entry["n"], f"n of class {c}", int(has_mean), n_cases)
+            if class_n[c] == 0:
                 continue
             vol_mean[c] = entry["volume_mean"]
             vol_std[c] = _std(entry["volume_std"], f"volume_std of class {c}")
             cent_mean[c] = entry["centroid_mean"]
             mom_mean[c] = np.asarray(entry["second_moment_mean"]).reshape(3, 3)
-        pairs = _table_rows(doc["pairs"], PAIRS, "pair", ("mean", "std"))
-        triples = _table_rows(doc["triples"], TRIPLES, "triple", ("cos_mean", "cos_std"))
-        n_cases = doc["n_cases"]
+        if missing := set(FOREGROUND_CLASSES) - seen:
+            raise InvalidStats(f"classes {sorted(missing)} have no entry")
+        pairs = _table_rows(doc["pairs"], PAIRS, "pair", ("mean", "std"), n_cases)
+        triples = _table_rows(doc["triples"], TRIPLES, "triple", ("cos_mean", "cos_std"), n_cases)
     return ShapeStats(vol_mean, vol_std, cent_mean, mom_mean, class_n, *pairs, *triples, n_cases)

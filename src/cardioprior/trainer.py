@@ -20,7 +20,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from ._version import __version__
 from .align import HeatmapAtlas
@@ -103,6 +102,8 @@ def featurize(image: Volume3, atlas: HeatmapAtlas | None = None) -> FeatureStack
     atlas reference grid, and the 8 heatmap values at each voxel become
     features verbatim.
     """
+    from scipy import ndimage  # here, so that importing the package loads no scipy
+
     img = image.data.astype(np.float64)
     img = (img - float(img.mean())) / max(float(img.std()), 1e-12)
     planes = [img, ndimage.uniform_filter(img, size=3, mode="reflect"),

@@ -7,7 +7,12 @@ a bug in the library cannot cancel against a bug in the test.
 
 import numpy as np
 
-from cardioprior.stats import PAIRS, TRIPLES  # the row layout of the relation statistics
+from cardioprior.stats import (  # the row layout of the relation statistics, and the basis
+    MASS_EPSILON,
+    PAIRS,
+    TRIPLES,
+    grid_basis,
+)
 
 
 def voxel_centers(dims, spacing, offset):
@@ -213,6 +218,31 @@ def _dense_moments(p, c):
     mass = w.sum()
     m = (x * w).sum(axis=1) / mass
     return mass, m, x - m[:, None]
+
+
+def per_row_soft_moments(p, classes):
+    """Mass, present, mu, centroid and M of every class, one present row at a time.
+
+    The soft-moment kernel's arithmetic written row by row, with masking:
+    the same grid-basis product, then each quadratic entry divided by the
+    mass of the present rows only, and nan written to the absent ones. The
+    kernel must reproduce these bits exactly.
+    """
+    n_cls = p.data.shape[0]
+    centre = np.add(p.offset, np.multiply(p.spacing, np.subtract(p.dims, 1) / 2.0))
+    raw = p.data.reshape(n_cls, -1) @ grid_basis(p.dims, p.spacing).T
+    mass = raw[:, 0]
+    present = np.zeros(n_cls, dtype=bool)
+    present[list(classes)] = True
+    present &= mass >= MASS_EPSILON
+    mu = np.full((n_cls, 3), np.nan)
+    M = np.full((n_cls, 3, 3), np.nan)
+    quadratic = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    for c in np.flatnonzero(present):
+        mu[c] = raw[c, 1:4] / mass[c]
+        for row, (a, b) in enumerate(quadratic, start=4):
+            M[c, a, b] = M[c, b, a] = (raw[c, row] - raw[c, 1 + a] * mu[c, b]) / mass[c]
+    return mass, present, mu, centre + mu, M
 
 
 def dense_moment_loss(p, stats):

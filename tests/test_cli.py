@@ -240,11 +240,20 @@ class TestExitCodes:
         ("triples", "triple", [1, 2, 8]),  # no such class
         ("classes", "n", 1e30),  # too large for a count
         ("pairs", "n", 1e30),
+        ("classes", "id", -7),  # CLASS_NAMES[-7] is class 1's name
+        pytest.param(None, "classes", lambda entries: entries[1:], id="class-1-missing"),
+        pytest.param(None, "classes", lambda entries: entries[1:2] + entries[1:],
+                     id="class-2-twice"),
+        ("classes", "n", 2.9),  # not a whole number
+        ("pairs", "n", -4),
+        ("pairs", "n", 0),  # a mean over no case
+        (None, "n_cases", 0),
     ])
     def test_invalid_stats_file_is_typed_error(self, pipeline, tmp_path, capsys,
                                                section, key, value):
         doc = json.loads(pipeline["stats_path"].read_text())
-        (doc if section is None else doc[section][0])[key] = value
+        target = doc if section is None else doc[section][0]
+        target[key] = value(target[key]) if callable(value) else value
         assert doc["classes"][0]["n"] > 0
         bad = tmp_path / "stats.json"
         bad.write_text(json.dumps(doc))

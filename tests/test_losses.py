@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from cardioprior import (
     volume_loss,
 )
 from cardioprior.losses import CE_CLAMP, EPSILON_GD, gradient_errors
-from cardioprior.stats import PAIRS, TRIPLES
+from cardioprior.stats import PAIRS, TRIPLES, SoftMoments
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
 
@@ -306,6 +308,39 @@ class TestDenseOracles:
         value, grad = oracle(p, stats)
         assert abs(ev.value - value) <= 1e-12 * abs(value)
         assert np.abs(ev.grad - grad).max() <= 1e-12 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
+    @pytest.mark.parametrize("fn", [moment_loss, relation_loss], ids=["moment", "relation"])
+    def test_given_moments_change_no_bit(self, case, fn):
+        p = soft_blob_case(*case)
+        # class 2 without stats: absent from the shared moments
+        stats = replace(shifted_stats(p), class_n=np.where(np.arange(N_CLASSES) == 2, 0, 3))
+        moments = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+        for need_grad in (True, False):
+            own = fn(p, stats, need_grad=need_grad)
+            given = fn(p, stats, need_grad=need_grad, moments=moments)
+            assert given.value == own.value and given.terms == own.terms
+            assert (given.grad is None) == (not need_grad)
+            if need_grad:
+                assert given.grad.tobytes() == own.grad.tobytes()
+
+    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
+    def test_moment_terms_are_the_per_class_products(self, case):
+        # all classes are scored at once, with the bits of each class's own
+        # dm @ dm and (dM * dM).sum()
+        p = soft_blob_case(*case)
+        stats = shifted_stats(p)
+        jitter = np.random.default_rng(case[0]).standard_normal((N_CLASSES, 3))
+        stats = replace(stats, centroid_mean=stats.centroid_mean + jitter)
+        cfg = LossConfig(weights={"moment_centroid": 0.7, "moment_second": 1.3})
+        ev = moment_loss(p, stats, cfg, need_grad=False)
+        mom = SoftMoments(p, FOREGROUND_CLASSES)
+        for c in FOREGROUND_CLASSES:
+            dm = mom.centroid[c] - stats.centroid_mean[c]
+            dM = mom.second_moment[c] - stats.second_moment_mean[c]
+            name = CLASS_NAMES_FG[c - 1]
+            assert ev.terms[f"moment_centroid_{name}"] == 0.7 * float(dm @ dm)
+            assert ev.terms[f"moment_second_{name}"] == 1.3 * float((dM * dM).sum())
 
     def test_low_mass_corner_class_is_scored(self):
         p = soft_blob_case(*ORACLE_CASES[3])

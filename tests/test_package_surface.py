@@ -1,12 +1,16 @@
 """Static checks of the package surface, written with the standard library only.
 
-No module imports a name it never uses, ``cardioprior.__all__`` is
-exactly the package's public namespace, and only ``volume`` writes files.
+No module imports a name it never uses or imports scipy at module level,
+``cardioprior.__all__`` is exactly the package's public namespace, and only
+``volume`` writes files.
 """
 
 import __future__
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -46,6 +50,31 @@ def test_no_unused_top_level_import(path):
     used = _used_names(tree)
     unused = {n: line for n, line in _imported_names(tree).items() if n not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = [alias.name for node in tree.body if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module or "" for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert not [n for n in names if n.split(".")[0] == "scipy"], \
+        f"{path.name} imports scipy at module level"
+
+
+def test_import_generate_and_swap_boundary_load_no_scipy():
+    code = (
+        "import sys, cardioprior as cp\n"
+        "spec = cp.PhantomSpec(grid=cp.FovSpec((12, 12, 12), 8.0))\n"
+        "_, labels = cp.generate(spec, 0)\n"
+        "cp.degrade(labels, 'swap_boundary', 0.2, seed=1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_all_names_resolve():

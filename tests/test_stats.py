@@ -2,6 +2,7 @@ import copy
 import functools
 import json
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -30,9 +31,11 @@ from cardioprior import (
     soft_second_moment,
     soft_volume,
 )
-from cardioprior.stats import PAIRS, TRIPLES, grid_basis
+from cardioprior.stats import MASS_EPSILON, PAIRS, TRIPLES, SoftMoments, grid_basis
 from conftest import label_volume
-from oracles import brute_soft_centroid, brute_soft_second_moment, soft_blob_case
+from oracles import (
+    brute_soft_centroid, brute_soft_second_moment, per_row_soft_moments, soft_blob_case,
+)
 
 
 PAIR_ROW = {tuple(k): t for t, k in enumerate(PAIRS.tolist())}
@@ -151,6 +154,37 @@ class TestGridBasis:
                 assert moments(p) == want
                 grid_basis.cache_clear()
                 assert moments(p) == want
+
+
+class TestSoftMoments:
+    def test_matches_per_row_reference_bit_for_bit(self):
+        # each instance has an absent class, one just under the mass floor
+        # and, on every other instance, an offset near 1e4 mm
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            dims = tuple(int(n) for n in rng.integers(1, 7, 3))
+            data = rng.random((N_CLASSES,) + dims) ** 3
+            data /= data.sum(axis=0)
+            absent, faint = rng.permutation(N_CLASSES)[:2]
+            data[absent] = 0.0
+            data[faint] *= MASS_EPSILON * (1.0 - 1e-9) / data[faint].sum()
+            offset = tuple(rng.uniform(-1e4, 1e4, 3)) if trial % 2 else (0.0, 0.0, 0.0)
+            p = ProbVolume(data, tuple(rng.uniform(0.3, 3.0, 3)), offset)
+            classes = np.flatnonzero(rng.random(N_CLASSES) < 0.8).tolist()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mom = SoftMoments(p, classes)
+            mass, present, mu, centroid, M = per_row_soft_moments(p, classes)
+            assert not present[absent] and not present[faint]
+            assert np.array_equal(mom.mass, mass)
+            assert np.array_equal(mom.present, present)
+            for got, want in ((mom.mu, mu), (mom.centroid, centroid), (mom.second_moment, M)):
+                assert np.array_equal(got, want, equal_nan=True)
+                # the layout too: a sum over a strided array adds in another order
+                assert got.flags.c_contiguous
+                rows = np.isnan(got.reshape(N_CLASSES, -1))
+                assert np.array_equal(rows.all(axis=1), ~present)
+                assert np.array_equal(rows.any(axis=1), ~present)
 
 
 class TestRelations:
@@ -356,13 +390,18 @@ def valid_stats_doc(tmp_path_factory):
 class TestLoadStatsProperty:
     """A mutated stats.json loads or raises InvalidStats, never another exception."""
 
+    #: Mutations after which the file is invalid and must not load.
+    MUST_FAIL = ("reverse", "repeat", "class_id", "repeat_class", "drop_class", "count")
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_mutated_file_loads_or_fails_typed(self, tmp_path, valid_stats_doc, data):
         doc = copy.deepcopy(valid_stats_doc)
-        mutation = data.draw(st.sampled_from(
-            ["drop", "reverse", "repeat", "invent", "value"]))
+        mutation = data.draw(st.sampled_from(["drop", "value", "invent", *self.MUST_FAIL]))
+        classes = doc["classes"]
+        at = data.draw(st.integers(0, len(classes) - 1))
+        other = (at + data.draw(st.integers(1, len(classes) - 1))) % len(classes)
         if mutation == "drop":
             paths = [p for p in _key_paths(doc) if isinstance(p[-1], str)]
             *parent, key = data.draw(st.sampled_from(paths))
@@ -371,6 +410,21 @@ class TestLoadStatsProperty:
             *parent, key = data.draw(st.sampled_from(_key_paths(doc)))
             functools.reduce(operator.getitem, parent, doc)[key] = data.draw(
                 st.sampled_from(["x", [1, 2], None, float("nan")]))
+        elif mutation == "class_id":
+            # id - 8 names the same class through a wrapping index
+            classes[at]["id"] += data.draw(st.sampled_from([-8, 8, -100]))
+        elif mutation == "repeat_class":
+            classes[at] = copy.deepcopy(classes[other])
+        elif mutation == "drop_class":
+            del classes[at]
+        elif mutation == "count":
+            paths = [p for p in _key_paths(doc) if p[-1] == "n"]
+            *parent, key = data.draw(st.sampled_from(paths))
+            functools.reduce(operator.getitem, parent, doc)[key] = data.draw(
+                st.sampled_from([-4, 2.5, doc["n_cases"] + 1, True]))
+            if data.draw(st.booleans()):  # or a bad case count instead
+                functools.reduce(operator.getitem, parent, doc)[key] = 1
+                doc["n_cases"] = data.draw(st.sampled_from([0, -1, 1.5, "2"]))
         else:
             section, key = data.draw(st.sampled_from([("pairs", "pair"), ("triples", "triple")]))
             entries = doc[section]
@@ -388,4 +442,4 @@ class TestLoadStatsProperty:
             load_stats(path)
         except InvalidStats:
             return
-        assert mutation not in ("reverse", "repeat"), "a key off the relation table loaded"
+        assert mutation not in self.MUST_FAIL, f"a file with a {mutation} mutation loaded"
