@@ -265,14 +265,20 @@ def build_atlas(
     )
 
 
+def atlas_files(atlas_dir: str | os.PathLike) -> list[str]:
+    """The files of an atlas directory: atlas.json, then one heatmap volume header per class."""
+    names = ["atlas.json"] + [f"heatmap_{name}.mhd" for name in CLASS_NAMES]
+    return [os.path.join(atlas_dir, f) for f in names]
+
+
 def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> list[str]:
     """Write one MET_DOUBLE volume per class plus the atlas.json manifest; returns their paths."""
-    out_dir = os.fspath(out_dir)
+    manifest_path, *heatmap_paths = atlas_files(out_dir)
     offset = atlas.reference_grid.origin_centered_offset()
     written = []
-    for c, name in enumerate(CLASS_NAMES):
+    for c, path in enumerate(heatmap_paths):
         vol = Volume3(atlas.heatmaps[c], atlas.reference_grid.spacing, offset)
-        written.extend(write_volume(vol, os.path.join(out_dir, f"heatmap_{name}.mhd")))
+        written.extend(write_volume(vol, path))
     manifest = {
         "schema": ATLAS_SCHEMA,
         "version": __version__,
@@ -290,16 +296,15 @@ def save_atlas(atlas: HeatmapAtlas, out_dir: str | os.PathLike) -> list[str]:
             for cid, T in atlas.transforms.items()
         },
     }
-    written.append(os.path.join(out_dir, "atlas.json"))
-    write_json(written[-1], manifest)
+    written.append(manifest_path)
+    write_json(manifest_path, manifest)
     return written
 
 
 def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
     """Read an atlas directory; a bad atlas.json, or one that disagrees with
     its heatmap volumes, raises InvalidAtlas."""
-    atlas_dir = os.fspath(atlas_dir)
-    manifest_path = os.path.join(atlas_dir, "atlas.json")
+    manifest_path, *heatmap_paths = atlas_files(atlas_dir)
     manifest = read_json(manifest_path, ATLAS_SCHEMA, InvalidAtlas)
     if manifest.get("classes") != list(CLASS_NAMES):
         raise InvalidAtlas("atlas manifest class roster does not match this build")
@@ -314,8 +319,8 @@ def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
             transforms[cid] = RigidTransform(m[:, :3], m[:, 3], entry["scale"])
         case_count = manifest["case_count"]
         heatmaps = np.zeros((N_CLASSES,) + fov.grid_size, dtype=np.float64)
-        for c, name in enumerate(CLASS_NAMES):
-            vol = read_volume(os.path.join(atlas_dir, f"heatmap_{name}.mhd"))
+        for c, (name, path) in enumerate(zip(CLASS_NAMES, heatmap_paths)):
+            vol = read_volume(path)
             if vol.dims != fov.grid_size:
                 raise InvalidAtlas(f"heatmap_{name} is {vol.dims} voxels, but {manifest_path} "
                                    f"gives grid_size {fov.grid_size}")

@@ -27,13 +27,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .align import build_atlas, load_atlas, save_atlas
+from .align import atlas_files, build_atlas, load_atlas, save_atlas
 from .errors import CardioPriorError, InvalidParameter, UsageError
 from .losses import GRADCHECK_LOSSES, LossConfig, gradcheck, load_loss_config
 from .metrics import evaluate_case
 from .phantom import Jitter, PhantomSpec, generate
 from .preprocess import FovSpec, embed_fov, foreground_centroid, resample
-from .report import build_summary, write_summary_csv, write_summary_md
+from .report import build_summary, report_files, write_summary_csv, write_summary_md
 from .stats import aggregate, case_descriptor, load_stats, save_stats
 from .trainer import (
     DEFAULT_EPOCHS,
@@ -48,7 +48,7 @@ from .trainer import (
     train,
 )
 from .volume import (
-    CLASS_NAMES, Volume3, argmax_labels, check_output_dir, one_hot, payload_path, read_volume,
+    Volume3, argmax_labels, check_output_dir, one_hot, payload_path, read_volume,
     write_json, write_volume,
 )
 
@@ -264,9 +264,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     inputs, cases = _load_case_pairs(args.data)
     stats = load_stats(args.stats) if args.stats else None
     atlas = load_atlas(args.atlas) if args.atlas else None
-    if args.atlas:  # the files load_atlas reads
-        inputs.append(os.path.join(args.atlas, "atlas.json"))
-        inputs.extend(os.path.join(args.atlas, f"heatmap_{name}.mhd") for name in CLASS_NAMES)
+    if args.atlas:
+        inputs.extend(atlas_files(args.atlas))
     if args.loss_config:
         loss_cfg = load_loss_config(args.loss_config, stats=stats)
         inputs.append(args.loss_config)
@@ -367,17 +366,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = build_summary(args.runs, include_reference=not args.no_reference)
+    rows = build_summary(args.runs)
     csv_path = os.path.join(args.out, "summary.csv")
     md_path = os.path.join(args.out, "summary.md")
     write_summary_csv(rows, csv_path)
     write_summary_md(rows, md_path)
-    inputs = {}
-    for run in args.runs:
-        for f in sorted(os.listdir(run)):
-            if f.startswith("report_") and f.endswith(".json"):
-                path = os.path.join(run, f)
-                inputs[path] = _sha256(path)
+    inputs = {path: _sha256(path) for run in args.runs for path in report_files(run)}
     _write_manifest(args.out, "report", _params(args), inputs, [csv_path, md_path])
     return 0
 
@@ -464,8 +458,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report", help="summary.csv / summary.md across runs")
     p.add_argument("--runs", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-reference", action="store_true",
-                   help="omit the published reference row")
     p.set_defaults(func=cmd_report)
     return parser
 
@@ -476,9 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: UsageError: {exc}", file=sys.stderr)
-        return 1
     except CardioPriorError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

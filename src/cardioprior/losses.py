@@ -503,21 +503,20 @@ def _gradcheck_stats(name: str, p: ProbVolume) -> tuple[ShapeStats, dict[str, fl
         second_moment_mean = d.second_moment * (1.0 + 0.03 * sign)[:, None, None]
         pair_mean, pair_std = d.pair_distance + 0.04, 0.1
         triple_mean, triple_std = d.triple_cosine + 0.02 * triple_sign, 0.05
-    stats = ShapeStats(
-        volume_mean=volume_mean,
-        volume_std=volume_std,
-        centroid_mean=centroid_mean,
-        second_moment_mean=second_moment_mean,
-        class_n=np.full(N_CLASSES, 3, dtype=np.intp),
-        pair_mean=pair_mean,
-        pair_std=np.full(len(PAIRS), pair_std),
-        pair_n=np.full(len(PAIRS), 3),
-        triple_mean=triple_mean,
-        triple_std=np.full(len(TRIPLES), triple_std),
-        triple_n=np.full(len(TRIPLES), 3),
-        n_cases=3,
+    return _fixture_stats(volume_mean, volume_std, centroid_mean, second_moment_mean,
+                          pair_mean, pair_std, triple_mean, triple_std), weights
+
+
+def _fixture_stats(volume_mean, volume_std, centroid_mean, second_moment_mean,
+                   pair_mean, pair_std, triple_mean, triple_std) -> ShapeStats:
+    """Stats of a gradient-check fixture: 3 cases, one std for all pairs and one for all triples."""
+    return ShapeStats(
+        volume_mean=volume_mean, volume_std=volume_std, centroid_mean=centroid_mean,
+        second_moment_mean=second_moment_mean, class_n=np.full(N_CLASSES, 3, dtype=np.intp),
+        pair_mean=pair_mean, pair_std=np.full(len(PAIRS), pair_std), pair_n=np.full(len(PAIRS), 3),
+        triple_mean=triple_mean, triple_std=np.full(len(TRIPLES), triple_std),
+        triple_n=np.full(len(TRIPLES), 3), n_cases=3,
     )
-    return stats, weights
 
 
 def gradient_errors(analytic: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,6 +532,38 @@ def gradient_errors(analytic: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, n
         raise InvalidParameter("gradient check compares nothing: no analytic or finite-"
                                "difference gradient entry reaches 1e-8")
     return abs_err, abs_err / np.maximum(scale, 1e-8)
+
+
+def _central_differences(arrays, analytic: np.ndarray, terms, step: float) -> tuple[dict, int]:
+    """Check ``analytic`` against central differences of the objective ``sum(terms())``.
+
+    Each entry of each array is moved in place to +step and -step, then
+    restored; ``analytic`` lists the gradient in that order. The terms are
+    differenced one by one and then summed, so the rounding of the large
+    terms stays out of the small differences. Returns the report fields
+    every check shares and the flat index of the worst relative error.
+    """
+    fd = np.empty(analytic.size)
+    k = 0
+    for arr in arrays:
+        flat = arr.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            hi = terms()
+            flat[idx] = orig - step
+            lo = terms()
+            flat[idx] = orig
+            fd[k] = sum(up - down for up, down in zip(hi, lo)) / (2.0 * step)
+            k += 1
+    abs_err, rel_err = gradient_errors(analytic, fd)
+    worst = int(np.argmax(rel_err))
+    return {
+        "step": step,
+        "n_entries": int(analytic.size),
+        "max_rel_err": float(rel_err[worst]),
+        "max_abs_err": float(abs_err.max()),
+    }, worst
 
 
 def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) -> dict:
@@ -555,30 +586,10 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
         x, f = p.data, lambda ng: _component(loss_name, p, g, cfg, ng)
 
     full = f(True)
-    analytic = full.grad
-    flat = x.reshape(-1)
-    fd = np.empty(flat.size)
-    for idx in range(flat.size):
-        orig = flat[idx]
-        flat[idx] = orig + step
-        hi = f(False).value
-        flat[idx] = orig - step
-        lo = f(False).value
-        flat[idx] = orig
-        fd[idx] = (hi - lo) / (2.0 * step)
-    abs_err, rel_err = gradient_errors(analytic.reshape(-1), fd)
-    worst = int(np.argmax(rel_err))
-    return {
-        "loss": loss_name,
-        "size": size,
-        "seed": seed,
-        "step": step,
-        "value": full.value,
-        "n_entries": int(flat.size),
-        "max_rel_err": float(rel_err[worst]),
-        "max_abs_err": float(abs_err.max()),
-        "argmax": [int(i) for i in np.unravel_index(worst, x.shape)],
-    }
+    report, worst = _central_differences([x], full.grad.reshape(-1),
+                                         lambda: (f(False).value,), step)
+    return {"loss": loss_name, "size": size, "seed": seed, "value": full.value, **report,
+            "argmax": [int(i) for i in np.unravel_index(worst, x.shape)]}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,9 @@ from .volume import Volume3, voxel_center_grid
 
 _SNAP = 1e-9  # voxels
 
+#: Largest grid ``resample`` builds: 134 MB per float64 plane, and sampling holds several.
+MAX_RESAMPLE_VOXELS = 256**3
+
 
 @dataclass(frozen=True)
 class FovSpec:
@@ -122,7 +125,8 @@ def resample(v: Volume3, target_spacing: tuple[float, float, float], mode: str) 
     """Resample onto a grid with the given spacing covering the input's world extent.
 
     The output grid is centered on the input grid's world center; with equal
-    spacing and aligned grids this is the identity for both modes.
+    spacing and aligned grids this is the identity for both modes. A grid over
+    MAX_RESAMPLE_VOXELS raises InvalidParameter before anything is allocated.
     """
     ts = tuple(float(s) for s in target_spacing)
     if len(ts) != 3 or any(s <= 0 for s in ts):
@@ -130,6 +134,9 @@ def resample(v: Volume3, target_spacing: tuple[float, float, float], mode: str) 
     dims_out = tuple(
         max(1, math.ceil(v.dims[a] * v.spacing[a] / ts[a] - 1e-9)) for a in range(3)
     )
+    if math.prod(dims_out) > MAX_RESAMPLE_VOXELS:
+        raise InvalidParameter(f"spacing {ts} mm resamples the {v.dims} grid at {v.spacing} mm "
+                               f"to {dims_out} voxels, over the cap of {MAX_RESAMPLE_VOXELS}")
     # exact identity when grids match: the half-extent difference is 0.0 then
     offset = tuple(
         v.offset[a] + (v.spacing[a] * (v.dims[a] - 1) - ts[a] * (dims_out[a] - 1)) / 2.0

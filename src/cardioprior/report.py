@@ -46,6 +46,17 @@ def _fmt(value) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
+def report_files(run_dir: str | os.PathLike) -> list[str]:
+    """The per-case ``report_*.json`` paths of one run directory, sorted by name."""
+    run_dir = os.fspath(run_dir)
+    try:
+        names = os.listdir(run_dir)
+    except OSError as exc:
+        raise IoFailure(f"cannot list {run_dir}: {exc}") from exc
+    return [os.path.join(run_dir, f) for f in sorted(names)
+            if f.startswith("report_") and f.endswith(".json")]
+
+
 def aggregate_run(run_dir: str | os.PathLike) -> dict[str, float | str | None]:
     """Mean macro metrics over the per-case report JSONs in one run directory.
 
@@ -54,17 +65,12 @@ def aggregate_run(run_dir: str | os.PathLike) -> dict[str, float | str | None]:
     a report without a ``macro`` object of numbers, raises InvalidReport.
     """
     run_dir = os.fspath(run_dir)
-    try:
-        names = os.listdir(run_dir)
-    except OSError as exc:
-        raise IoFailure(f"cannot list {run_dir}: {exc}") from exc
-    files = sorted(f for f in names if f.startswith("report_") and f.endswith(".json"))
+    files = report_files(run_dir)
     if not files:
         raise InvalidReport(f"no report_*.json files in {run_dir}")
     keys = ("dice", "jaccard", "hd_mm", "assd_mm")
     values: dict[str, list[float]] = {key: [] for key in keys}
-    for f in files:
-        path = os.path.join(run_dir, f)
+    for path in files:
         doc = read_json(path, None, InvalidReport)
         with json_fields(path, InvalidReport):
             macro = doc["macro"]
@@ -105,9 +111,5 @@ def write_summary_md(rows: list[dict], path: str | os.PathLike) -> None:
     write_file(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def build_summary(
-    run_dirs: list[str | os.PathLike], include_reference: bool = True
-) -> list[dict]:
-    rows = [reference_row()] if include_reference else []
-    rows.extend(aggregate_run(d) for d in run_dirs)
-    return rows
+def build_summary(run_dirs: list[str | os.PathLike]) -> list[dict]:
+    return [reference_row()] + [aggregate_run(d) for d in run_dirs]

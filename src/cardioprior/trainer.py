@@ -24,9 +24,12 @@ import numpy as np
 from ._version import __version__
 from .align import HeatmapAtlas
 from .errors import ArityMismatch, GridMismatch, InvalidModel, InvalidParameter, NonfiniteLoss
-from .losses import WEIGHT_KEYS, LossConfig, gradient_errors, softmax, total_loss
+from .losses import (
+    WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, softmax, total_loss,
+)
+from .phantom import BASE_INTENSITY
 from .preprocess import FovSpec
-from .stats import PAIRS, TRIPLES, ShapeStats, case_descriptor
+from .stats import case_descriptor
 from .volume import (
     CLASS_NAMES, N_CLASSES, ProbVolume, Volume3, json_fields, one_hot, read_json, write_file,
     write_json,
@@ -192,6 +195,15 @@ class TrainConfig:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
 
+def _flat_inputs(cases: list[tuple[Volume3, Volume3]], atlas: HeatmapAtlas | None):
+    """Each case's features as (n_features, n_voxels), and the atlas as the aux target."""
+    flats = []
+    for img, _ in cases:
+        data = featurize(img, atlas).data
+        flats.append(data.reshape(data.shape[0], -1))
+    return flats, None if atlas is None else atlas.heatmaps.reshape(N_CLASSES, -1)
+
+
 def _case_eval(W, W_aux, flat, g, dims, cfg: TrainConfig, aux_target, need_grad):
     """Objective value, per-term map, and weight gradients for one case."""
     logits = (W @ flat).reshape((N_CLASSES,) + dims)
@@ -229,17 +241,13 @@ def train(
     for img, lab in cases:
         if img.dims != dims or lab.dims != dims:
             raise GridMismatch("all training cases must share one grid")
-    stacks = [featurize(img, cfg.atlas) for img, _ in cases]
-    flats = [s.data.reshape(s.data.shape[0], -1) for s in stacks]
-    if stacks[0].data.shape[0] != model.weights.shape[1]:
+    flats, aux_target = _flat_inputs(cases, cfg.atlas)
+    if flats[0].shape[0] != model.weights.shape[1]:
         raise ArityMismatch(
-            f"model expects {model.weights.shape[1]} features, got {stacks[0].data.shape[0]}"
+            f"model expects {model.weights.shape[1]} features, got {flats[0].shape[0]}"
         )
-    aux_target = None
-    if model.aux_weights is not None:
-        if cfg.atlas is None:
-            raise InvalidParameter("auxiliary head requires an atlas to regress")
-        aux_target = cfg.atlas.heatmaps.reshape(N_CLASSES, -1)
+    if model.aux_weights is not None and cfg.atlas is None:
+        raise InvalidParameter("auxiliary head requires an atlas to regress")
 
     W = model.weights.copy()
     W_aux = model.aux_weights.copy() if model.aux_weights is not None else None
@@ -339,7 +347,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
             rng.integers(0, N_CLASSES, grid.grid_size).astype(np.uint8), grid.spacing, offset
         )
         image = Volume3(
-            (np.asarray([40.0, 320, 300, 310, 290, 120, 330, 280])[labels.data]
+            (np.asarray(BASE_INTENSITY)[labels.data]
              + 20.0 * rng.standard_normal(grid.grid_size)).astype(np.float32),
             grid.spacing,
             offset,
@@ -351,9 +359,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     names = feature_names(with_atlas=True)
     W = 0.1 * rng.standard_normal((N_CLASSES, len(names)))
     W_aux = 0.1 * rng.standard_normal((N_CLASSES, len(names)))
-    stacks = [featurize(img, atlas) for img, _ in cases]
-    flats = [s.data.reshape(s.data.shape[0], -1) for s in stacks]
-    aux_target = atlas.heatmaps.reshape(N_CLASSES, -1)
+    flats, aux_target = _flat_inputs(cases, atlas)
     dims = grid.grid_size
 
     # Aggregating stats from two near-identical random cases yields
@@ -373,19 +379,12 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     mid_cent = 0.5 * (descs[0].soft_centroid + descs[1].soft_centroid)
     mid_mom = 0.5 * (descs[0].second_moment + descs[1].second_moment)
     sign = np.where(np.arange(N_CLASSES) % 2 == 0, 1.0, -1.0)
-    stats = ShapeStats(
-        volume_mean=mid_vol * (1.0 + 0.2 * sign),
-        volume_std=0.5 * mid_vol,
-        centroid_mean=mid_cent + np.outer(sign, (0.25, -0.2, 0.15)),
-        second_moment_mean=mid_mom * (1.0 + 0.01 * sign)[:, None, None],
-        class_n=np.full(N_CLASSES, 3, dtype=np.intp),
-        pair_mean=0.5 * (descs[0].pair_distance + descs[1].pair_distance) + 0.04,
-        pair_std=np.full(len(PAIRS), 1.5),
-        pair_n=np.full(len(PAIRS), 3),
-        triple_mean=0.5 * (descs[0].triple_cosine + descs[1].triple_cosine) + 0.02,
-        triple_std=np.full(len(TRIPLES), 2.0),
-        triple_n=np.full(len(TRIPLES), 3),
-        n_cases=3,
+    stats = _fixture_stats(
+        mid_vol * (1.0 + 0.2 * sign), 0.5 * mid_vol,
+        mid_cent + np.outer(sign, (0.25, -0.2, 0.15)),
+        mid_mom * (1.0 + 0.01 * sign)[:, None, None],
+        0.5 * (descs[0].pair_distance + descs[1].pair_distance) + 0.04, 1.5,
+        0.5 * (descs[0].triple_cosine + descs[1].triple_cosine) + 0.02, 2.0,
     )
     cfg = TrainConfig(loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, epochs=1)
 
@@ -393,35 +392,12 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
         return [_case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, need_grad)
                 for i in range(2)]
 
-    results = case_evals(True)
-    an_w = sum(r[2] for r in results) / 2.0
-    an_aux = sum(r[3] for r in results) / 2.0
-    analytic = np.concatenate([an_w.ravel(), an_aux.ravel()])
-    fd = np.empty_like(analytic)
-    k = 0
-    for arr in (W, W_aux):
-        flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = case_evals(False)
-            flat[idx] = orig - step
-            lo = case_evals(False)
-            flat[idx] = orig
-            # The terms sum to the objective, so difference them one by one:
-            # the rounding of the large terms then stays out of the small
-            # differences, and the quotient measures the gradient, not roundoff.
-            diff = sum(up[1][t] - down[1][t] for up, down in zip(hi, lo) for t in up[1])
-            fd[k] = diff / (4.0 * step)  # mean over the 2 cases, central difference
-            k += 1
-    abs_err, rel_err = gradient_errors(analytic, fd)
-    worst = int(np.argmax(rel_err))
+    analytic = sum(np.concatenate([r[2].ravel(), r[3].ravel()]) for r in case_evals(True)) / 2.0
+    # The objective is the mean over the 2 cases, so each term enters halved.
+    report, worst = _central_differences(
+        [W, W_aux], analytic,
+        lambda: [t / 2.0 for r in case_evals(False) for t in r[1].values()], step,
+    )
     head, entry = divmod(worst, W.size)
-    return {
-        "seed": seed,
-        "step": step,
-        "n_entries": int(analytic.size),
-        "max_rel_err": float(rel_err.max()),
-        "max_abs_err": float(abs_err.max()),
-        "argmax": [("aux" if head else "main")] + [int(i) for i in np.unravel_index(entry, W.shape)],
-    }
+    where = ["aux" if head else "main"] + [int(i) for i in np.unravel_index(entry, W.shape)]
+    return {"seed": seed, **report, "argmax": where}

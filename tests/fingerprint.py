@@ -11,7 +11,8 @@ The artifacts:
   trained with atlas features on a small phantom (4 training and 2 test
   cases at 24^3, 4 mm): trained weights, the trace CSV, and the test-case
   reports with HD95;
-* ``gradcheck/<loss>``: the five gradcheck reports at 5^3, seed 0;
+* ``gradcheck/<loss>``: the five gradcheck reports at 5^3, seed 0, and
+  ``gradcheck/weight``: the ``weight_gradcheck`` report at seed 0;
 * ``cli/<path>``: every file of a tiny CLI chain at 16^3, 6 mm (phantom,
   stats, atlas, train with a loss config, the atlas and the auxiliary head,
   eval with HD95, report). Manifests are hashed without their timestamp and
@@ -74,8 +75,10 @@ def experiment(jobs: int, tmp: str) -> dict[str, str]:
 
 
 def gradchecks() -> dict[str, str]:
-    return {f"gradcheck/{loss}": _sha(_json_bytes(cp.gradcheck(loss, size=5, seed=0)))
-            for loss in cp.GRADCHECK_LOSSES}
+    out = {f"gradcheck/{loss}": _sha(_json_bytes(cp.gradcheck(loss, size=5, seed=0)))
+           for loss in cp.GRADCHECK_LOSSES}
+    out["gradcheck/weight"] = _sha(_json_bytes(cp.weight_gradcheck(seed=0)))
+    return out
 
 
 def _relative(value, root: str):

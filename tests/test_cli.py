@@ -641,6 +641,20 @@ class TestPrep:
         doc = json.loads((out / "manifest.json").read_text())
         assert any(k.endswith("lab.raw") for k in doc["inputs"])
 
+    def test_tiny_spacing_is_invalid_parameter(self, tmp_path, capsys):
+        # 12 voxels at 10 mm resampled to 1e-3 mm would be 120000^3 voxels
+        data = np.zeros((12, 12, 12), dtype=np.uint8)
+        data[4:8, 4:8, 4:8] = 1
+        write_volume(Volume3(data, (10.0, 10.0, 10.0)), tmp_path / "lab.mhd")
+        out = tmp_path / "prep"
+        rc = main(["prep", "--in", str(tmp_path / "lab.mhd"), "--out", str(out),
+                   "--size", "8", "--spacing", "1e-3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameter:")
+        assert "(0.001, 0.001, 0.001)" in err and "(12, 12, 12)" in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestGradcheckCommand:
     def test_module_entry_point(self, tmp_path):

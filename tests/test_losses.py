@@ -27,7 +27,7 @@ from cardioprior import (
     total_loss,
     volume_loss,
 )
-from cardioprior.losses import CE_CLAMP, EPSILON_GD, gradient_errors
+from cardioprior.losses import CE_CLAMP, EPSILON_GD, _central_differences, gradient_errors
 from cardioprior.stats import PAIRS, TRIPLES, SoftMoments
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
@@ -530,6 +530,28 @@ class TestGradcheck:
             gradient_errors(np.zeros(3), np.full(3, 9e-9))
         abs_err, rel_err = gradient_errors(np.array([0.0, 1e-8]), np.zeros(2))
         assert abs_err.tolist() == [0.0, 1e-8] and rel_err.tolist() == [0.0, 1.0]
+
+    def test_central_differences_on_a_quadratic(self, rng):
+        # two arrays, two terms: L = x^T A x / 2 + sum(c * y^2)
+        A = rng.standard_normal((6, 6))
+        A = A + A.T
+        c = rng.uniform(0.5, 2.0, 4)
+        x, y = rng.standard_normal((3, 2)), rng.standard_normal(4)
+        before = [x.tobytes(), y.tobytes()]
+        grad = np.concatenate([A @ x.ravel(), 2.0 * c * y])
+
+        def terms():
+            return (0.5 * x.ravel() @ A @ x.ravel(), float((c * y * y).sum()))
+
+        report, worst = _central_differences([x, y], grad, terms, 1e-5)
+        assert [x.tobytes(), y.tobytes()] == before
+        assert report["step"] == 1e-5 and report["n_entries"] == 10
+        assert report["max_abs_err"] < 1e-9
+        assert 0 <= worst < 10
+        grad[7] += 1.0  # a wrong entry of y is the worst one
+        report, worst = _central_differences([x, y], grad, terms, 1e-5)
+        assert worst == 7 and report["max_abs_err"] > 0.99
+        assert [x.tobytes(), y.tobytes()] == before
 
 
 # per-class term names used across the tests above
