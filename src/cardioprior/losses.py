@@ -4,9 +4,19 @@ The baseline objective (Generalized Dice plus Cross-Entropy) and the three
 shape-aware regularizers (volume, moment, centroid relations). Every loss
 returns a scalar and the analytic gradient with respect to the per-voxel
 class probabilities; ``total_loss`` composes enabled terms behind a logits
-interface, mapping the probability gradient back through the softmax
-Jacobian. ``gradcheck`` verifies any registered loss against central finite
-differences on a seeded instance.
+interface, or over weights and features for training, mapping the
+probability gradient back through the softmax Jacobian. ``gradcheck``
+verifies any registered loss against central finite differences on a
+seeded instance.
+
+The loss maths exists once. Each component is split into the reductions
+over the probabilities that it reads (class mass, own-class probability
+per class, CE sum, product with the grid basis) and a ``_*_terms``
+function that turns them into its value and its gradient constants.
+``_objective`` sums the reductions over voxel tiles in one pass and
+builds the gradient tile by tile from the constants in a second; the
+four probability-interface functions run it on the whole grid as one
+tile, ``total_loss`` on tiles of TILE_VOXELS.
 
 Loss functions intentionally do not validate the probability-simplex
 invariant: finite-difference probing perturbs single entries off the
@@ -35,6 +45,7 @@ from .stats import (
     ShapeStats,
     SoftMoments,
     case_descriptor,
+    grid_basis,
     relation_geometry,
 )
 from .volume import CLASS_NAMES, FOREGROUND_CLASSES, N_CLASSES, ProbVolume, Volume3, read_json
@@ -44,6 +55,11 @@ CE_CLAMP = 1e-12
 
 #: Smoothing term of the Generalized Dice class weights and denominator.
 EPSILON_GD = 1e-6
+
+#: Voxels per tile of total_loss. Fixed, so that the order in which the tile
+#: sums add up, and with it every output bit, depends on the grid alone and
+#: never on --jobs. A tile's probabilities and gradient take 512 KiB each.
+TILE_VOXELS = 8192
 
 #: Loss components: name -> (module-level function name, its weight keys).
 #: The function is looked up by name at call time, so a wrapper installed
@@ -96,17 +112,27 @@ _DEFAULT_CONFIG = LossConfig()
 
 @dataclass(frozen=True)
 class LossEval:
-    """Scalar loss, gradient grid, and the per-term decomposition.
+    """Scalar loss, gradient, and the per-term decomposition.
 
     ``grad`` has the ProbVolume data shape and is taken with respect to the
     probabilities for the probability-interface losses and with respect to
-    the logits for total_loss. It is None when evaluated value-only.
+    the logits for total_loss; for total_loss with ``features`` it is the
+    (8, F) gradient with respect to the weights. It is None when evaluated
+    value-only.
     The terms always sum to ``value`` (skipped terms appear as 0.0).
     """
 
     value: float
     grad: np.ndarray | None
     terms: dict[str, float]
+
+
+def _softmax(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0 written to ``out``, which may be ``z`` itself."""
+    np.subtract(z, z.max(axis=0, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=0, keepdims=True)
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -116,10 +142,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     result is bit-identical to that formula; ``logits`` is left unchanged.
     """
     z = np.asarray(logits, dtype=np.float64)
-    out = np.subtract(z, z.max(axis=0, keepdims=True))
-    np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
-    return out
+    return _softmax(z, np.empty(z.shape))
 
 
 def _require_labels(g: Volume3) -> None:
@@ -131,6 +154,295 @@ def _require_labels(g: Volume3) -> None:
 def _require_same_shape(p: ProbVolume, g: Volume3) -> None:
     if p.dims != g.dims:
         raise ShapeMismatch(f"probability grid {p.dims} differs from label grid {g.dims}")
+
+
+# ---------------------------------------------------------------------------
+# The components, each split into its value and gradient constants. The
+# reductions over P that they read are summed tile by tile in _objective.
+
+
+def _gdice_ce_terms(w, mass, hits, ce_sum, g_sum, n_vox, coef):
+    """GDice + CE from the class mass, the per-class sum of each voxel's
+    own-class probability and the CE sum.
+
+    With ``coef`` the gradient constants are taken too: the off-label
+    constant of every class goes to ``coef[:, 0]``, and the returned (8,)
+    array is what class c adds at the voxels labelled c (CE adds its own
+    per-voxel part there).
+    """
+    w_gd, w_ce = w["gdice"], w["ce"]
+    w_c = 1.0 / (g_sum + EPSILON_GD) ** 2
+    num = float((w_c * hits).sum())
+    den = float((w_c * (mass + g_sum)).sum()) + EPSILON_GD
+    gdice = 1.0 - 2.0 * num / den
+    ce = ce_sum / n_vox
+    at_label = None
+    if coef is not None:
+        # d GDice / d p_c(x) = -2 w_c (g_c(x) den - num) / den^2
+        scale = -2.0 * w_gd / den**2
+        coef[:, 0] += scale * (w_c * -num)
+        at_label = scale * (w_c * den)
+    return w_gd * gdice + w_ce * ce, {"gdice": w_gd * gdice, "ce": w_ce * ce}, at_label
+
+
+def _volume_terms(w, stats, mass, voxel_volume, coef):
+    """Squared volume z-scores; the gradient is one constant per class, in ``coef[:, 0]``."""
+    w = w["volume"]
+    terms: dict[str, float] = {}
+    value = 0.0
+    any_scored = False
+    mass = mass.tolist()
+    for c in FOREGROUND_CLASSES:
+        name = CLASS_NAMES[c]
+        sigma = float(stats.volume_std[c])
+        if int(stats.class_n[c]) == 0 or not np.isfinite(sigma) or sigma <= 0.0:
+            # stable key set: the trace aggregation relies on every case
+            # reporting the same columns
+            terms[f"volume_{name}"] = 0.0
+            continue
+        any_scored = True
+        z = (mass[c] * voxel_volume - float(stats.volume_mean[c])) / sigma
+        term = w * z * z
+        terms[f"volume_{name}"] = term
+        value += term
+        if coef is not None:
+            coef[c, 0] += 2.0 * w * z / sigma * voxel_volume
+    if not any_scored:
+        raise NoUsableStats("volume_loss: every class lacks usable volume statistics")
+    return value, terms
+
+
+def _moment_terms(w, stats, mom, coef):
+    """Squared moment distances; the gradient of class c is coef[c] on the ten basis rows."""
+    w1 = w["moment_centroid"]
+    w2 = w["moment_second"]
+    if not mom.present.any():
+        raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
+    dm = mom.centroid - stats.centroid_mean
+    dM = mom.second_moment - stats.second_moment_mean
+    # every class at once, with the bits of each class's dm @ dm and
+    # (dM * dM).sum(); (dm * dm).sum(axis=1) and einsum round differently
+    t1 = (w1 * (dm[:, None, :] @ dm[:, :, None])[:, 0, 0]).tolist()
+    t2 = (w2 * (dM * dM).reshape(N_CLASSES, 9).sum(axis=1)).tolist()
+    present = mom.present.tolist()
+    terms: dict[str, float] = {}
+    value = 0.0
+    for c in FOREGROUND_CLASSES:
+        name = CLASS_NAMES[c]
+        if not present[c]:
+            terms[f"moment_centroid_{name}"] = 0.0
+            terms[f"moment_second_{name}"] = 0.0
+            continue
+        terms[f"moment_centroid_{name}"] = t1[c]
+        terms[f"moment_second_{name}"] = t2[c]
+        value += t1[c] + t2[c]
+        if coef is not None:
+            # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
+            a = 2.0 * w1 / mom.mass[c]
+            b = 2.0 * w2 / mom.mass[c]
+            mu, dm_c, dM_c = mom.mu[c], dm[c], dM[c]
+            sym = dM_c + dM_c.T
+            coef[c, 0] += -a * (dm_c @ mu) + b * (
+                mu @ dM_c @ mu - float((dM_c * mom.second_moment[c]).sum()))
+            coef[c, 1:4] += a * dm_c - b * (sym @ mu)
+            coef[c, 4:7] += b * np.diag(dM_c)
+            coef[c, 7:] += b * sym[(0, 0, 1), (1, 2, 2)]
+    return value, terms
+
+
+def _relation_terms(w, stats, mom, coef):
+    """Centroid-relation z-scores; the gradient of class c is coef[c, :4] on the rows 1, u, v, w."""
+    w_d = w["relation_dist"]
+    w_a = w["relation_angle"]
+    if int(mom.present.sum()) < 2:
+        raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
+    need_grad = coef is not None
+    seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
+    G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
+    dist_val = 0.0
+    angle_val = 0.0
+
+    if w_d > 0.0:
+        I, J = PAIRS.T
+        d = length[I, J]
+        ok = np.isfinite(d) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
+        if ok.any():
+            d, mean, std = d[ok], stats.pair_mean[ok], stats.pair_std[ok]
+            z = (d - mean) / std
+            dist_val = w_d * float(z @ z)
+            if need_grad:
+                I, J = I[ok], J[ok]
+                dvec = seg[I, J]
+                scale = 2.0 * w_d * z / (std * d)
+                np.add.at(G, I, scale[:, None] * dvec)
+                np.add.at(G, J, -scale[:, None] * dvec)
+
+    if w_a > 0.0:
+        ok = np.isfinite(cos) & (stats.triple_std > 0.0) & np.isfinite(stats.triple_mean)
+        if ok.any():
+            cos, mean, std = cos[ok], stats.triple_mean[ok], stats.triple_std[ok]
+            z = (cos - mean) / std
+            angle_val = w_a * float(z @ z)
+            if need_grad:
+                I, J, K = TRIPLES[ok].T
+                u, v, nu, nv = seg[I, J], seg[K, J], length[I, J], length[K, J]
+                # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
+                dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
+                dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
+                scale = (2.0 * w_a * z / std)[:, None]
+                np.add.at(G, I, scale * dc_du)
+                np.add.at(G, K, scale * dc_dv)
+                np.add.at(G, J, -scale * (dc_du + dc_dv))
+
+    if need_grad:
+        # G_c.(x - m_c)/mass_c = G_c.(u - mu_c)/mass_c is linear in u
+        k = mom.present & G.any(axis=1)
+        coef[k, 0] += -(G[k] * mom.mu[k]).sum(axis=1) / mom.mass[k]
+        coef[k, 1:4] += G[k] / mom.mass[k, None]
+    return dist_val + angle_val, {"relation_dist": dist_val, "relation_angle": angle_val}
+
+
+def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=None,
+               weights=None, features=None, moments=None):
+    """Value, terms and gradient of the components ``names``, in two passes over voxel tiles.
+
+    The probabilities come from one source: ``probs`` (8, N) as given, in
+    a single tile; ``logits`` (8, N) through the softmax; or ``weights``
+    (8, F) times ``features`` (F, N) through the softmax, each in tiles of
+    TILE_VOXELS. ``grid`` lends dims, spacing, offset and voxel volume;
+    ``labels`` is the flat uint8 ground truth when gdice_ce is enabled.
+
+    Pass 1 computes each tile's probabilities, keeps them in a tile-major
+    buffer when the gradient is wanted, and sums the reductions that the
+    components read: the class mass, each voxel's own-class probability
+    summed per class, the CE sum, and the product with the grid basis (or
+    takes the soft ``moments`` given). The components turn the sums into
+    their values and their gradient constants, folded into one (8, 10),
+    (8, 4) or (8, 1) coefficient matrix on the grid basis, plus the
+    gdice/CE constants at each voxel's label. Pass 2 builds each tile's
+    dL/dP from them, maps it through the softmax Jacobian in place, and
+    writes it out as dL/dP or dL/dz, or sums its product with the feature
+    tile into dL/dW. Returns (value, terms, gradient or None).
+    """
+    n = (probs if probs is not None else logits if logits is not None else features).shape[1]
+    tile = n if probs is not None else min(TILE_VOXELS, n)
+    gd = "gdice_ce" in names
+    prior = "moment" in names or "relation" in names
+    grad_rows = 10 if "moment" in names else 4 if prior else 1
+    basis = grid_basis(grid.dims, grid.spacing) if prior else None
+    by_mass = gd or "volume" in names
+    by_basis = prior and moments is None
+    if gd:
+        g_sum = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
+        columns = np.arange(tile)
+    if probs is None:
+        # one tile of scratch, or every tile kept for pass 2
+        buf = np.empty(N_CLASSES * (n if need_grad else tile))
+
+    def probabilities(s, e):
+        if probs is not None:
+            return probs
+        at = N_CLASSES * s if need_grad else 0
+        return buf[at:at + N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
+
+    def own_class(L, P):
+        """Flat index of (L[x], x) in the tile and the probability there."""
+        at = L.astype(np.intp)  # widened first: a uint8 product can wrap
+        at *= P.shape[1]
+        at += columns[:P.shape[1]]
+        return at, P.reshape(-1).take(at)
+
+    tiles = [(s, min(s + tile, n)) for s in range(0, n, tile)]
+    for s, e in tiles:
+        P = probabilities(s, e)
+        if logits is not None:
+            _softmax(logits[:, s:e], P)
+        elif weights is not None:
+            _softmax(np.matmul(weights, features[:, s:e], out=P), P)
+        # each sum starts at its first tile's part, so one tile adds nothing
+        if by_mass:
+            part = P.sum(axis=1)
+            mass = part if s == 0 else mass + part
+        if gd:
+            L = labels[s:e]
+            _, p_own = own_class(L, P)
+            part = np.bincount(L, weights=p_own, minlength=N_CLASSES)
+            hits = part if s == 0 else hits + part
+            part = -float(np.log(np.maximum(p_own, CE_CLAMP)).sum())
+            ce_sum = part if s == 0 else ce_sum + part
+        if by_basis:
+            part = P @ basis[:, s:e].T
+            raw = part if s == 0 else raw + part
+
+    coef = np.zeros((N_CLASSES, grad_rows)) if need_grad else None
+    value = 0.0
+    terms: dict[str, float] = {}
+    if gd:
+        part, t, at_label = _gdice_ce_terms(w, mass, hits, ce_sum, g_sum, n, coef)
+        value += part
+        terms.update(t)
+    if "volume" in names:
+        part, t = _volume_terms(w, stats, mass, grid.voxel_volume, coef)
+        value += part
+        terms.update(t)
+    if prior:
+        mom = moments
+        if mom is None:
+            usable = [c for c in FOREGROUND_CLASSES if stats.class_usable(c)]
+            mom = SoftMoments(grid, usable, raw=raw)
+        for name, fn in (("moment", _moment_terms), ("relation", _relation_terms)):
+            if name in names:
+                part, t = fn(w, stats, mom, coef)
+                value += part
+                terms.update(t)
+    if not need_grad:
+        return value, terms, None
+
+    grad = np.empty((N_CLASSES, n)) if weights is None else None
+    scratch = np.empty(N_CLASSES * tile)
+    for s, e in tiles:
+        P = probabilities(s, e)
+        G = scratch[:N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
+        if grad_rows > 1:
+            np.matmul(coef, basis[:grad_rows, s:e], out=G)
+        else:
+            G[...] = coef
+        if gd:
+            L = labels[s:e]
+            at, p_own = own_class(L, P)
+            # CE contributes only at the annotated class; zero where the clamp binds
+            live = p_own > CE_CLAMP
+            G.reshape(-1)[at] += at_label[L] - (w["ce"] / n) * (
+                live / np.maximum(p_own, CE_CLAMP))
+        if probs is None:
+            # dL/dz_c = p_c (dL/dp_c - sum_d p_d dL/dp_d), the sum row by
+            # row: the order .sum(axis=0) adds in
+            dot = P[0] * G[0]
+            row = np.empty_like(dot)
+            for c in range(1, N_CLASSES):
+                dot += np.multiply(P[c], G[c], out=row)
+            G -= dot
+            G *= P
+        if weights is None:
+            grad[:, s:e] = G
+        else:
+            part = G @ features[:, s:e].T
+            grad = part if s == 0 else grad + part
+    return value, terms, grad
+
+
+def _enabled(cfg: LossConfig) -> list[str]:
+    """The COMPONENTS with a positive weight, in table order."""
+    w = cfg.weights
+    return [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
+
+
+def _prob_loss(name, p, stats, cfg, need_grad, labels=None, moments=None) -> LossEval:
+    """One component over given probabilities; the gradient is dL/dP."""
+    value, terms, grad = _objective(
+        (name,), cfg.weights, stats, p, labels, need_grad=need_grad,
+        probs=p.data.reshape(N_CLASSES, -1), moments=moments)
+    return LossEval(float(value), None if grad is None else grad.reshape(p.data.shape), terms)
 
 
 def gdice_ce(
@@ -147,41 +459,7 @@ def gdice_ce(
     """
     _require_labels(g)
     _require_same_shape(p, g)
-    w_gd = cfg.weights["gdice"]
-    w_ce = cfg.weights["ce"]
-    eps = EPSILON_GD
-    P = p.data.reshape(N_CLASSES, -1)
-    L = g.data.reshape(-1)
-    n_vox = P.shape[1]
-
-    # flat index of (L[x], x); widen the labels first, since a uint8 product
-    # can wrap (numpy 1.x sizes the result by the scalar's value)
-    at_label = L.astype(np.intp) * n_vox + np.arange(n_vox)
-    p_true = P.reshape(-1).take(at_label)
-    g_sum = np.bincount(L, minlength=N_CLASSES).astype(np.float64)
-    w_c = 1.0 / (g_sum + eps) ** 2
-    num = float((w_c * np.bincount(L, weights=p_true, minlength=N_CLASSES)).sum())
-    den = float((w_c * (P.sum(axis=1) + g_sum)).sum()) + eps
-    gdice = 1.0 - 2.0 * num / den
-
-    p_clamped = np.maximum(p_true, CE_CLAMP)
-    ce = float(-np.log(p_clamped).sum()) / n_vox
-
-    value = w_gd * gdice + w_ce * ce
-    terms = {"gdice": w_gd * gdice, "ce": w_ce * ce}
-    grad = None
-    if need_grad:
-        # d GDice / d p_c(x) = -2 w_c (g_c(x) den - num) / den^2: one constant
-        # per class off the label, another at it
-        coef = -2.0 * w_gd / den**2
-        grad = np.empty(p.data.shape)
-        grad_flat = grad.reshape(N_CLASSES, -1)
-        grad_flat[...] = (coef * (w_c * -num))[:, None]
-        # CE contributes only at the annotated class; zero where the clamp binds
-        live = p_true > CE_CLAMP
-        at_hit = (coef * (w_c * (den - num)))[L] - (w_ce / n_vox) * (live / p_clamped)
-        grad_flat.reshape(-1)[at_label] = at_hit
-    return LossEval(value=float(value), grad=grad, terms=terms)
+    return _prob_loss("gdice_ce", p, None, cfg, need_grad, labels=g.data.reshape(-1))
 
 
 def volume_loss(
@@ -197,37 +475,7 @@ def volume_loss(
     2 w z_c / sigma_c * voxel_volume over class c's grid. Classes without
     stats or with sigma = 0 are skipped and listed in terms as 0.0.
     """
-    w = cfg.weights["volume"]
-    vv = p.voxel_volume
-    P = p.data.reshape(N_CLASSES, -1)
-    terms: dict[str, float] = {}
-    value = 0.0
-    grad = np.zeros_like(p.data) if need_grad else None
-    any_scored = False
-    mass = P.sum(axis=1).tolist()
-    for c in FOREGROUND_CLASSES:
-        name = CLASS_NAMES[c]
-        sigma = float(stats.volume_std[c])
-        if int(stats.class_n[c]) == 0 or not np.isfinite(sigma) or sigma <= 0.0:
-            # stable key set: the trace aggregation relies on every case
-            # reporting the same columns
-            terms[f"volume_{name}"] = 0.0
-            continue
-        any_scored = True
-        z = (mass[c] * vv - float(stats.volume_mean[c])) / sigma
-        term = w * z * z
-        terms[f"volume_{name}"] = term
-        value += term
-        if grad is not None:
-            grad[c] += 2.0 * w * z / sigma * vv
-    if not any_scored:
-        raise NoUsableStats("volume_loss: every class lacks usable volume statistics")
-    return LossEval(value=float(value), grad=grad, terms=terms)
-
-
-def _prior_moments(p: ProbVolume, stats: ShapeStats) -> SoftMoments:
-    """Soft moments of the classes with usable stats: what moment_loss and relation_loss read."""
-    return SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+    return _prob_loss("volume", p, stats, cfg, need_grad)
 
 
 def moment_loss(
@@ -247,45 +495,9 @@ def moment_loss(
     basis and evaluated for all classes by one matrix product. Low-mass
     classes and classes without stats are skipped. ``moments``, when given,
     must be the SoftMoments of p over the classes ``stats.class_usable``
-    accepts; total_loss shares one with relation_loss.
+    accepts, and spares their product with the grid basis.
     """
-    w1 = cfg.weights["moment_centroid"]
-    w2 = cfg.weights["moment_second"]
-    mom = _prior_moments(p, stats) if moments is None else moments
-    if not mom.present.any():
-        raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
-    dm = mom.centroid - stats.centroid_mean
-    dM = mom.second_moment - stats.second_moment_mean
-    # every class at once, with the bits of each class's dm @ dm and
-    # (dM * dM).sum(); (dm * dm).sum(axis=1) and einsum round differently
-    t1 = (w1 * (dm[:, None, :] @ dm[:, :, None])[:, 0, 0]).tolist()
-    t2 = (w2 * (dM * dM).reshape(N_CLASSES, 9).sum(axis=1)).tolist()
-    present = mom.present.tolist()
-    terms: dict[str, float] = {}
-    value = 0.0
-    coef = np.zeros((N_CLASSES, 10))  # gradient of each class in the grid basis
-    for c in FOREGROUND_CLASSES:
-        name = CLASS_NAMES[c]
-        if not present[c]:
-            terms[f"moment_centroid_{name}"] = 0.0
-            terms[f"moment_second_{name}"] = 0.0
-            continue
-        terms[f"moment_centroid_{name}"] = t1[c]
-        terms[f"moment_second_{name}"] = t2[c]
-        value += t1[c] + t2[c]
-        if need_grad:
-            # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
-            a = 2.0 * w1 / mom.mass[c]
-            b = 2.0 * w2 / mom.mass[c]
-            mu, dm_c, dM_c = mom.mu[c], dm[c], dM[c]
-            sym = dM_c + dM_c.T
-            coef[c, 0] = -a * (dm_c @ mu) + b * (
-                mu @ dM_c @ mu - float((dM_c * mom.second_moment[c]).sum()))
-            coef[c, 1:4] = a * dm_c - b * (sym @ mu)
-            coef[c, 4:7] = b * np.diag(dM_c)
-            coef[c, 7:] = b * sym[(0, 0, 1), (1, 2, 2)]
-    grad = (coef @ mom.basis).reshape(p.data.shape) if need_grad else None
-    return LossEval(value=float(value), grad=grad, terms=terms)
+    return _prob_loss("moment", p, stats, cfg, need_grad, moments=moments)
 
 
 def relation_loss(
@@ -304,66 +516,13 @@ def relation_loss(
     gradient chains through the centroids via dm_c/dp_c(x) = (x - m_c)/mass_c.
     ``moments``, when given, is as in moment_loss.
     """
-    w_d = cfg.weights["relation_dist"]
-    w_a = cfg.weights["relation_angle"]
-    mom = _prior_moments(p, stats) if moments is None else moments
-    if int(mom.present.sum()) < 2:
-        raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
-
-    seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
-    G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
-    dist_val = 0.0
-    angle_val = 0.0
-
-    if w_d > 0.0:
-        I, J = PAIRS.T
-        d = length[I, J]
-        ok = np.isfinite(d) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
-        if ok.any():
-            d, mean, std = d[ok], stats.pair_mean[ok], stats.pair_std[ok]
-            z = (d - mean) / std
-            dist_val = w_d * float(z @ z)
-            if need_grad:
-                I, J = I[ok], J[ok]
-                dvec = seg[I, J]
-                coef = 2.0 * w_d * z / (std * d)
-                np.add.at(G, I, coef[:, None] * dvec)
-                np.add.at(G, J, -coef[:, None] * dvec)
-
-    if w_a > 0.0:
-        ok = np.isfinite(cos) & (stats.triple_std > 0.0) & np.isfinite(stats.triple_mean)
-        if ok.any():
-            cos, mean, std = cos[ok], stats.triple_mean[ok], stats.triple_std[ok]
-            z = (cos - mean) / std
-            angle_val = w_a * float(z @ z)
-            if need_grad:
-                I, J, K = TRIPLES[ok].T
-                u, v, nu, nv = seg[I, J], seg[K, J], length[I, J], length[K, J]
-                # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
-                dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
-                dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
-                coef = (2.0 * w_a * z / std)[:, None]
-                np.add.at(G, I, coef * dc_du)
-                np.add.at(G, K, coef * dc_dv)
-                np.add.at(G, J, -coef * (dc_du + dc_dv))
-
-    grad = None
-    if need_grad:
-        # G_c.(x - m_c)/mass_c is linear: coefficients on the basis rows 1, u, v, w
-        coef = np.zeros((N_CLASSES, 4))
-        k = mom.present & G.any(axis=1)
-        coef[k, 0] = -(G[k] * mom.mu[k]).sum(axis=1) / mom.mass[k]
-        coef[k, 1:] = G[k] / mom.mass[k, None]
-        grad = (coef @ mom.basis[:4]).reshape(p.data.shape)
-    value = dist_val + angle_val
-    terms = {"relation_dist": dist_val, "relation_angle": angle_val}
-    return LossEval(value=float(value), grad=grad, terms=terms)
+    return _prob_loss("relation", p, stats, cfg, need_grad, moments=moments)
 
 
-def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool, **kw):
+def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool):
     """Evaluate one COMPONENTS entry through its module-level function."""
     fn = globals()[COMPONENTS[name][0]]
-    return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad, **kw)
+    return fn(p, g if name == "gdice_ce" else cfg.stats, cfg, need_grad=need_grad)
 
 
 def total_loss(
@@ -372,53 +531,43 @@ def total_loss(
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
+    features: np.ndarray | None = None,
 ) -> LossEval:
-    """Weighted sum of enabled components over softmax(logits).
+    """Weighted sum of the enabled components over softmax(logits).
 
-    ``g`` is the uint8 ground-truth label volume. Returns the gradient with
-    respect to the logits: with s = softmax, dL/dz_c = p_c (dL/dp_c - sum_d
-    p_d dL/dp_d) per voxel. Components whose weights are all zero are not
-    evaluated at all; the moment and relation terms share one soft-moment
-    pass. The component gradients are summed into the first one's buffer
-    and the Jacobian is applied in place.
+    ``g`` is the uint8 ground-truth label volume. The gradient is taken
+    with respect to the logits: with s = softmax, dL/dz_c = p_c (dL/dp_c -
+    sum_d p_d dL/dp_d) per voxel. With ``features`` (F, N) or (F, *dims),
+    the first argument is instead the (8, F) weight matrix W of the logits
+    W @ features, and the gradient is dL/dW; the logits then never exist
+    as a whole grid. Components whose weights are all zero are not
+    evaluated at all. Either way the objective runs in two passes over
+    tiles of TILE_VOXELS voxels (see ``_objective``), so the probabilities
+    and their gradient stay in cache, and the moment and relation terms
+    share one soft-moment reduction.
     """
     _require_labels(g)
     z = np.asarray(logits, dtype=np.float64)
-    if z.shape != (N_CLASSES,) + g.dims:
-        raise ShapeMismatch(f"logits shape {z.shape} does not match ground truth {g.dims}")
-    p = ProbVolume(softmax(z), g.spacing, g.offset)
-    w = cfg.weights
-    value = 0.0
-    terms: dict[str, float] = {}
-    grad = None
-
-    enabled = [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
-    regularized = tuple(n for n in enabled if n != "gdice_ce")
+    n = g.data.size
+    if features is None:
+        if z.shape != (N_CLASSES,) + g.dims:
+            raise ShapeMismatch(f"logits shape {z.shape} does not match ground truth {g.dims}")
+        source = {"logits": z.reshape(N_CLASSES, n)}
+    else:
+        f = np.asarray(features, dtype=np.float64)
+        if z.ndim != 2 or z.shape[0] != N_CLASSES or f.ndim < 2 or f.shape[0] != z.shape[1] \
+                or f[0].size != n:
+            raise ShapeMismatch(f"weights {z.shape} and features {f.shape} do not make "
+                                f"logits for ground truth {g.dims}")
+        source = {"weights": z, "features": f.reshape(f.shape[0], n)}
+    names = _enabled(cfg)
+    regularized = tuple(n for n in names if n != "gdice_ce")
     if regularized and cfg.stats is None:
         raise NoUsableStats(f"cfg.stats required for enabled components {regularized}")
-    kw = dict.fromkeys(enabled, {})
-    if "moment" in enabled and "relation" in enabled:
-        kw["moment"] = kw["relation"] = {"moments": _prior_moments(p, cfg.stats)}
-    for name in enabled:
-        ev = _component(name, p, g, cfg, need_grad, **kw[name])
-        value += ev.value
-        terms.update(ev.terms)
-        if need_grad:
-            if grad is None:
-                grad = ev.grad
-            else:
-                grad += ev.grad
-
-    if need_grad:
-        # sum_d p_d dL/dp_d, row by row: the order .sum(axis=0) adds in
-        P = p.data.reshape(N_CLASSES, -1)
-        G = grad.reshape(N_CLASSES, -1)
-        dot = P[0] * G[0]
-        row = np.empty_like(dot)
-        for c in range(1, N_CLASSES):
-            dot += np.multiply(P[c], G[c], out=row)
-        G -= dot
-        G *= P
+    value, terms, grad = _objective(names, cfg.weights, cfg.stats, g, g.data.reshape(-1),
+                                    need_grad=need_grad, **source)
+    if grad is not None and features is None:
+        grad = grad.reshape(z.shape)
     return LossEval(value=float(value), grad=grad, terms=terms)
 
 

@@ -79,17 +79,20 @@ class SoftMoments:
     floor; otherwise its moments are nan, since they are divided by a mass
     that is nan on its row. The (8, N) probabilities times the (N, 10) grid
     basis give each class's mass and its raw first and second moments
-    about the grid centre; ``mu`` is the centroid relative to that centre
-    and the central moment is M = R - mu mu^T, each entry computed once and
-    written to both halves, so M is exactly symmetric. Taking the moments
-    about the grid centre rather than the world origin bounds the
-    cancellation error of M to about eps * |mu|^2 / ||M||, relative, however
-    far the grid sits from the origin.
+    about the grid centre; ``raw``, when given, is that (8, 10) product as
+    the caller summed it, and ``p`` then only lends its grid (any volume
+    with dims, spacing and offset). ``mu`` is the centroid relative to the
+    grid centre and the central moment is M = R - mu mu^T, each entry
+    computed once and written to both halves, so M is exactly symmetric.
+    Taking the moments about the grid centre rather than the world origin
+    bounds the cancellation error of M to about eps * |mu|^2 / ||M||,
+    relative, however far the grid sits from the origin.
     """
 
-    def __init__(self, p: ProbVolume, classes=range(N_CLASSES)) -> None:
-        self.basis = grid_basis(p.dims, p.spacing)
-        raw = p.data.reshape(N_CLASSES, -1) @ self.basis.T
+    def __init__(self, p: ProbVolume, classes=range(N_CLASSES), *,
+                 raw: np.ndarray | None = None) -> None:
+        if raw is None:
+            raw = p.data.reshape(N_CLASSES, -1) @ grid_basis(p.dims, p.spacing).T
         self.mass = raw[:, 0]
         self.present = np.zeros(N_CLASSES, dtype=bool)
         self.present[list(classes)] = True

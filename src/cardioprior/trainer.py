@@ -8,6 +8,12 @@ atlas heatmaps with mean-squared error from the same features, mirroring a
 two-decoder design at desk scale. Everything stays in Float64 and every
 gradient is testable against finite differences.
 
+One case-epoch is one ``total_loss`` call over the weights and the case's
+features: the logits, probabilities and gradient are made tile by tile
+and never exist as whole grids, and the weight gradient is summed over
+the tiles. The tile size is fixed, so the result does not depend on
+``jobs``, which only spreads cases over threads.
+
 Weight initialization is zeros (uniform prediction), which removes
 initialization randomness from comparisons between loss configurations.
 """
@@ -185,6 +191,15 @@ class TrainConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+        for name in ("step_size", "aux_weight"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise InvalidParameter(f"{name} must be a number, got {value!r}")
         if not (np.isfinite(self.step_size) and self.step_size >= 0.0):
             raise InvalidParameter(f"step_size must be finite and >= 0, got {self.step_size}")
         if self.epochs < 0:
@@ -204,15 +219,16 @@ def _flat_inputs(cases: list[tuple[Volume3, Volume3]], atlas: HeatmapAtlas | Non
     return flats, None if atlas is None else atlas.heatmaps.reshape(N_CLASSES, -1)
 
 
-def _case_eval(W, W_aux, flat, g, dims, cfg: TrainConfig, aux_target, need_grad):
-    """Objective value, per-term map, and weight gradients for one case."""
-    logits = (W @ flat).reshape((N_CLASSES,) + dims)
-    ev = total_loss(logits, g, cfg.loss, need_grad=need_grad)
+def _case_eval(W, W_aux, flat, g, cfg: TrainConfig, aux_target, need_grad):
+    """Objective value, per-term map, and weight gradients for one case.
+
+    The main head is one ``total_loss`` call over the weights and the
+    features, tiled; the auxiliary head is a plain full-grid pass.
+    """
+    ev = total_loss(W, g, cfg.loss, need_grad=need_grad, features=flat)
     value = ev.value
     terms = dict(ev.terms)
-    grad_w = grad_aux = None
-    if need_grad:
-        grad_w = ev.grad.reshape(N_CLASSES, -1) @ flat.T
+    grad_aux = None
     if W_aux is not None:
         resid = W_aux @ flat - aux_target
         aux_mse = float((resid * resid).mean())
@@ -220,7 +236,7 @@ def _case_eval(W, W_aux, flat, g, dims, cfg: TrainConfig, aux_target, need_grad)
         terms["aux_mse"] = cfg.aux_weight * aux_mse
         if need_grad:
             grad_aux = (2.0 * cfg.aux_weight / resid.size) * (resid @ flat.T)
-    return value, terms, grad_w, grad_aux
+    return value, terms, ev.grad, grad_aux
 
 
 def train(
@@ -257,7 +273,7 @@ def train(
     with pool or nullcontext():
         for epoch in range(cfg.epochs):
             def run(i: int):
-                return _case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, True)
+                return _case_eval(W, W_aux, flats[i], cases[i][1], cfg, aux_target, True)
 
             results = list(pool.map(run, range(n)) if pool else map(run, range(n)))
 
@@ -389,7 +405,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     cfg = TrainConfig(loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, epochs=1)
 
     def case_evals(need_grad):
-        return [_case_eval(W, W_aux, flats[i], cases[i][1], dims, cfg, aux_target, need_grad)
+        return [_case_eval(W, W_aux, flats[i], cases[i][1], cfg, aux_target, need_grad)
                 for i in range(2)]
 
     analytic = sum(np.concatenate([r[2].ravel(), r[3].ravel()]) for r in case_evals(True)) / 2.0

@@ -205,19 +205,22 @@ def dense_gdice_ce(p, labels, w_gd=1.0, w_ce=1.0, eps=1e-6, clamp=1e-12):
     return w_gd * gdice + w_ce * ce, terms, grad.reshape(p.data.shape)
 
 
-def _dense_moments(p, c):
+def _dense_moments(p, c, x):
     """Mass, centroid and the per-voxel centred coordinates d (3, N).
 
-    Coordinates are listed from the grid's first voxel, so d keeps its
-    digits on grids far from the origin; the returned centroid is relative
-    to that voxel, and the offset is added back only where a world
-    position is needed.
+    ``x`` is (3, N), the voxel centres listed from the grid's first voxel,
+    so d keeps its digits on grids far from the origin; the returned
+    centroid is relative to that voxel, and the offset is added back only
+    where a world position is needed.
     """
     w = p.data[c].reshape(-1)
-    x = voxel_centers(p.dims, p.spacing, (0.0, 0.0, 0.0)).T
     mass = w.sum()
     m = (x * w).sum(axis=1) / mass
     return mass, m, x - m[:, None]
+
+
+def _first_voxel_centres(p):
+    return voxel_centers(p.dims, p.spacing, (0.0, 0.0, 0.0)).T
 
 
 def per_row_soft_moments(p, classes):
@@ -245,31 +248,56 @@ def per_row_soft_moments(p, classes):
     return mass, present, mu, centre + mu, M
 
 
-def dense_moment_loss(p, stats):
-    """Unit-weight moment loss and its probability gradient, per voxel.
+def dense_volume_terms(p, stats, w=1.0):
+    """Per-class volume z-score terms and their probability gradient, one class at a time."""
+    n_cls = p.data.shape[0]
+    vv = float(np.prod(p.spacing))
+    terms = {}
+    grad = np.zeros(p.data.shape)
+    for c in range(1, n_cls):
+        sigma = stats.volume_std[c]
+        if stats.class_n[c] == 0 or not np.isfinite(sigma) or sigma <= 0.0:
+            terms[c] = 0.0
+            continue
+        z = (p.data[c].sum() * vv - stats.volume_mean[c]) / sigma
+        terms[c] = w * z * z
+        grad[c] = 2.0 * w * z / sigma * vv
+    return terms, grad
+
+
+def dense_moment_terms(p, stats, w1=1.0, w2=1.0):
+    """Per-class moment terms {c: (centroid, second)} and the probability gradient, per voxel.
 
     Per class with stats and mass >= 1e-6: d = x - m, M = sum p d d^T / mass
-    (symmetrised), and the gradient (2/mass) (dm.d + d.(dM d) - <dM, M>)
-    with dm = m - mbar and dM = M - Mbar.
+    (symmetrised), and the gradient (2/mass) (w1 dm.d + w2 (d.(dM d) -
+    <dM, M>)) with dm = m - mbar and dM = M - Mbar.
     """
-    value = 0.0
+    terms = {}
     grad = np.zeros((p.data.shape[0], int(np.prod(p.dims))))
+    x = _first_voxel_centres(p)
     for c in range(1, p.data.shape[0]):
         if stats.class_n[c] < 1 or p.data[c].sum() < 1e-6:
+            terms[c] = (0.0, 0.0)
             continue
-        mass, m, d = _dense_moments(p, c)
+        mass, m, d = _dense_moments(p, c, x)
         M = (d * p.data[c].reshape(-1)) @ d.T / mass
         M = 0.5 * (M + M.T)
         dm = (np.asarray(p.offset) + m) - stats.centroid_mean[c]
         dM = M - stats.second_moment_mean[c]
-        value += float(dm @ dm) + float((dM * dM).sum())
-        grad[c] = (2.0 / mass) * (dm @ d)
-        grad[c] += (2.0 / mass) * ((d * (dM @ d)).sum(axis=0) - float((dM * M).sum()))
-    return value, grad.reshape(p.data.shape)
+        terms[c] = (w1 * float(dm @ dm), w2 * float((dM * dM).sum()))
+        grad[c] = (2.0 * w1 / mass) * (dm @ d)
+        grad[c] += (2.0 * w2 / mass) * ((d * (dM @ d)).sum(axis=0) - float((dM * M).sum()))
+    return terms, grad.reshape(p.data.shape)
 
 
-def dense_relation_loss(p, stats):
-    """Unit-weight relation loss and its probability gradient, per relation.
+def dense_moment_loss(p, stats):
+    """Unit-weight moment loss and its probability gradient, per voxel."""
+    terms, grad = dense_moment_terms(p, stats)
+    return sum(a + b for a, b in terms.values()), grad
+
+
+def dense_relation_terms(p, stats, w_d=1.0, w_a=1.0):
+    """Distance and angle terms and their probability gradient, per relation.
 
     Loops over the pair and triple table rows with the loss's skip rules
     (zero std, non-finite mean, absent class, segment below 1e-6 mm),
@@ -277,12 +305,13 @@ def dense_relation_loss(p, stats):
     dL/dm_c . d / mass_c with d = x - m_c.
     """
     n_cls = p.data.shape[0]
+    x = _first_voxel_centres(p)
     m = np.full((n_cls, 3), np.nan)
     for c in range(1, n_cls):
         if stats.class_n[c] >= 1 and p.data[c].sum() >= 1e-6:
-            m[c] = _dense_moments(p, c)[1]
+            m[c] = _dense_moments(p, c, x)[1]
     G = np.zeros((n_cls, 3))
-    value = 0.0
+    dist = angle = 0.0
 
     def segment(a, b):
         s = m[a] - m[b]
@@ -294,9 +323,9 @@ def dense_relation_loss(p, stats):
         if s is None or not std > 0.0 or not np.isfinite(mean):
             continue
         z = (n - mean) / std
-        value += z * z
-        G[i] += 2.0 * z / std * s / n
-        G[j] -= 2.0 * z / std * s / n
+        dist += w_d * z * z
+        G[i] += 2.0 * w_d * z / std * s / n
+        G[j] -= 2.0 * w_d * z / std * s / n
     for (i, j, k), mean, std in zip(TRIPLES.tolist(), stats.triple_mean, stats.triple_std):
         a, na = segment(i, j)
         b, nb = segment(k, j)
@@ -304,18 +333,72 @@ def dense_relation_loss(p, stats):
             continue
         cos = float(a @ b) / (na * nb)
         z = (cos - mean) / std
-        value += z * z
+        angle += w_a * z * z
         da = b / (na * nb) - cos * a / na**2
         db = a / (na * nb) - cos * b / nb**2
-        G[i] += 2.0 * z / std * da
-        G[k] += 2.0 * z / std * db
-        G[j] -= 2.0 * z / std * (da + db)
+        G[i] += 2.0 * w_a * z / std * da
+        G[k] += 2.0 * w_a * z / std * db
+        G[j] -= 2.0 * w_a * z / std * (da + db)
     grad = np.zeros((n_cls, int(np.prod(p.dims))))
     for c in range(1, n_cls):
         if np.isfinite(m[c, 0]) and G[c].any():
-            mass, _, d = _dense_moments(p, c)
+            mass, _, d = _dense_moments(p, c, x)
             grad[c] = (G[c] @ d) / mass
-    return value, grad.reshape(p.data.shape)
+    return {"relation_dist": dist, "relation_angle": angle}, grad.reshape(p.data.shape)
+
+
+def dense_relation_loss(p, stats):
+    """Unit-weight relation loss and its probability gradient, per relation."""
+    terms, grad = dense_relation_terms(p, stats)
+    return terms["relation_dist"] + terms["relation_angle"], grad
+
+
+def untiled_case_objective(W, flat, labels, weights, stats, W_aux=None, aux_weight=0.0,
+                           aux_target=None):
+    """One case's training objective, its terms and weight gradients, on the whole grid.
+
+    The logits W @ flat and their softmax as whole (8, N) grids, every
+    enabled term from the dense formulas above, the softmax Jacobian as
+    P * (G - sum_c P_c G_c), and one product of that with the features:
+    no tiles. The auxiliary head is the mean squared error of W_aux @ flat
+    against ``aux_target``. Returns (value, terms, grad_w, grad_aux) with
+    the term names of the training trace.
+    """
+    from cardioprior import CLASS_NAMES, ProbVolume
+
+    z = W @ flat
+    e = np.exp(z - z.max(axis=0))
+    P = e / e.sum(axis=0)
+    p = ProbVolume(P.reshape((P.shape[0],) + labels.dims), labels.spacing, labels.offset)
+    terms = {}
+    grad = np.zeros(p.data.shape)
+    if weights["gdice"] > 0.0 or weights["ce"] > 0.0:
+        _, t, g = dense_gdice_ce(p, labels, weights["gdice"], weights["ce"])
+        terms.update(t)
+        grad += g
+    if weights["volume"] > 0.0:
+        t, g = dense_volume_terms(p, stats, weights["volume"])
+        terms.update({f"volume_{CLASS_NAMES[c]}": v for c, v in t.items()})
+        grad += g
+    if weights["moment_centroid"] > 0.0 or weights["moment_second"] > 0.0:
+        t, g = dense_moment_terms(p, stats, weights["moment_centroid"], weights["moment_second"])
+        for c, (centroid, second) in t.items():
+            terms[f"moment_centroid_{CLASS_NAMES[c]}"] = centroid
+            terms[f"moment_second_{CLASS_NAMES[c]}"] = second
+        grad += g
+    if weights["relation_dist"] > 0.0 or weights["relation_angle"] > 0.0:
+        t, g = dense_relation_terms(p, stats, weights["relation_dist"],
+                                    weights["relation_angle"])
+        terms.update(t)
+        grad += g
+    G = grad.reshape(P.shape)
+    grad_w = (P * (G - (P * G).sum(axis=0))) @ flat.T
+    grad_aux = None
+    if W_aux is not None:
+        resid = W_aux @ flat - aux_target.reshape(aux_target.shape[0], -1)
+        terms["aux_mse"] = aux_weight * float((resid * resid).mean())
+        grad_aux = (2.0 * aux_weight / resid.size) * (resid @ flat.T)
+    return sum(terms.values()), terms, grad_w, grad_aux
 
 
 def central_difference(f, x, h=1e-5):

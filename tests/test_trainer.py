@@ -10,6 +10,7 @@ from cardioprior import (
     FovSpec,
     GridMismatch,
     InvalidModel,
+    InvalidParameter,
     IoFailure,
     Jitter,
     LossConfig,
@@ -18,8 +19,10 @@ from cardioprior import (
     ShapeStats,
     TrainConfig,
     Volume3,
+    aggregate,
     argmax_labels,
     build_atlas,
+    case_descriptor,
     evaluate_case,
     experiment_weights,
     feature_names,
@@ -36,7 +39,10 @@ from cardioprior import (
     train,
     weight_gradcheck,
 )
+from cardioprior.losses import TILE_VOXELS
 from cardioprior.stats import PAIRS, TRIPLES
+from cardioprior.trainer import EXPERIMENT_WEIGHTS, _case_eval, _flat_inputs
+from oracles import untiled_case_objective
 
 BASELINE_ONLY = {k: 0.0 for k in ("volume", "moment_centroid", "moment_second",
                                   "relation_dist", "relation_angle")}
@@ -178,14 +184,17 @@ class TestTrain:
         assert "aux_mse" in trace[0]
 
     def test_deterministic_across_jobs(self):
+        # 24^3 is two tiles of the case objective: one full, one partial
         cases = tiny_cases(3)
+        assert TILE_VOXELS < 24**3 < 2 * TILE_VOXELS
+        stats = aggregate([case_descriptor(one_hot(lab)) for _, lab in cases])
         model = init_model(feature_names(False))
-        cfg1 = TrainConfig(epochs=4, loss=LossConfig(weights=BASELINE_ONLY), jobs=1)
-        cfg3 = TrainConfig(epochs=4, loss=LossConfig(weights=BASELINE_ONLY), jobs=3)
-        t1, trace1 = train(model, cases, cfg1)
-        t3, trace3 = train(model, cases, cfg3)
-        assert t1.weights.tobytes() == t3.weights.tobytes()
-        assert trace1 == trace3
+        for config in EXPERIMENT_WEIGHTS:
+            loss = LossConfig(weights=experiment_weights(config), stats=stats)
+            t1, trace1 = train(model, cases, TrainConfig(epochs=4, loss=loss, jobs=1))
+            t3, trace3 = train(model, cases, TrainConfig(epochs=4, loss=loss, jobs=3))
+            assert t1.weights.tobytes() == t3.weights.tobytes(), config
+            assert trace1 == trace3, config
 
     def test_one_thread_pool_per_train_call(self, monkeypatch):
         import cardioprior.trainer as trainer_mod
@@ -261,6 +270,94 @@ class TestTrain:
         for prev, cur in zip(gaps, gaps[1:]):
             for g_prev, g_cur in zip(prev, cur):
                 assert g_cur <= g_prev + 1e-9
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("jobs", 1.5), ("jobs", False),
+        ("step_size", "0.5"), ("step_size", None), ("aux_weight", "0"), ("aux_weight", [0.5]),
+    ])
+    def test_rejects_fractional_counts_and_non_numeric_rates(self, field, value):
+        with pytest.raises(InvalidParameter, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_numpy_numbers(self):
+        cfg = TrainConfig(epochs=np.int64(3), jobs=np.int32(2), step_size=np.float32(0.25),
+                          aux_weight=1)
+        assert (cfg.epochs, cfg.jobs) == (3, 2)
+
+
+@pytest.fixture(scope="module")
+def phantom_trio():
+    """Three default 48^3 phantoms: the first one's features with the atlas and its
+    labels, the atlas as the aux target, and the three cases' stats."""
+    spec = PhantomSpec()
+    cases = [generate(spec, k) for k in range(3)]
+    labels = [lab for _, lab in cases]
+    atlas = build_atlas(labels, spec.grid)
+    stats = aggregate([case_descriptor(one_hot(lab)) for lab in labels])
+    flats, aux_target = _flat_inputs(cases[:1], atlas)
+    return flats[0], labels[0], aux_target, stats
+
+
+class TestTiledObjective:
+    """The tiled case objective against the whole-grid dense oracle.
+
+    48^3 voxels are 13 full tiles and a 4096-voxel tail. The oracle shares
+    no code with the tiles: whole-grid softmax, per-voxel formulas for
+    every term, the Jacobian as one expression.
+    """
+
+    @pytest.mark.parametrize("config, aux", [(c, False) for c in EXPERIMENT_WEIGHTS]
+                             + [("volume", True)],
+                             ids=[*EXPERIMENT_WEIGHTS, "volume+aux"])
+    @pytest.mark.parametrize("init", ["zero", "random"])
+    def test_matches_untiled_oracle(self, phantom_trio, config, aux, init):
+        flat, labels, aux_target, stats = phantom_trio
+        assert divmod(flat.shape[1], TILE_VOXELS) == (13, 4096)
+        rng = np.random.default_rng(5)
+        shape = (N_CLASSES, flat.shape[0])
+        W = np.zeros(shape) if init == "zero" else 0.1 * rng.standard_normal(shape)
+        W_aux = (np.zeros(shape) if init == "zero" else 0.1 * rng.standard_normal(shape)) \
+            if aux else None
+        cfg = TrainConfig(loss=LossConfig(weights=experiment_weights(config), stats=stats),
+                          aux_weight=0.5 if aux else 0.0)
+        value, terms, grad_w, grad_aux = _case_eval(W, W_aux, flat, labels, cfg, aux_target,
+                                                    True)
+        want_value, want_terms, want_w, want_aux = untiled_case_objective(
+            W, flat, labels, cfg.loss.weights, stats, W_aux, cfg.aux_weight, aux_target)
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0.0)
+        assert list(terms) == list(want_terms)
+        for key, want in want_terms.items():
+            assert terms[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+        assert np.abs(grad_w - want_w).max() <= 1e-12 * np.abs(want_w).max()
+        if aux:
+            assert np.abs(grad_aux - want_aux).max() <= 1e-12 * np.abs(want_aux).max()
+        # the value-only call runs the same first pass
+        assert _case_eval(W, W_aux, flat, labels, cfg, aux_target, False)[:2] == (value, terms)
+
+    def test_gradient_checks_across_tiles(self, monkeypatch):
+        import cardioprior.losses as losses_mod
+
+        tiles = []
+        softmax = losses_mod._softmax
+
+        def counting(z, out):
+            if z.ndim == 2:  # a tile; the public softmax takes whole grids
+                tiles.append(z.shape[1])
+            return softmax(z, out)
+
+        monkeypatch.setattr(losses_mod, "TILE_VOXELS", 64)
+        monkeypatch.setattr(losses_mod, "_softmax", counting)
+        # 5^3 voxels are a full tile and a 61-voxel one
+        report = losses_mod.gradcheck("total", size=5, seed=0)
+        assert tiles[:3] == [64, 61, 64]
+        assert report["max_rel_err"] < 1e-6
+        # 8^3 voxels are 8 tiles
+        tiles.clear()
+        report = weight_gradcheck(seed=0)
+        assert tiles.count(64) % 8 == 0 and tiles.count(64) >= 8
+        assert report["max_rel_err"] < 1e-6
 
 
 class TestExperimentWeights:
