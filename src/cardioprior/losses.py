@@ -62,8 +62,9 @@ EPSILON_GD = 1e-6
 TILE_VOXELS = 8192
 
 #: Loss components: name -> (module-level function name, its weight keys).
-#: The function is looked up by name at call time, so a wrapper installed
-#: on the module attribute sees every call.
+#: total_loss and training run the components inside _objective; the
+#: function name serves only gradcheck's per-component checks, which look
+#: it up at call time so that a wrapper on the module attribute sees them.
 COMPONENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "gdice_ce": ("gdice_ce", ("gdice", "ce")),
     "volume": ("volume_loss", ("volume",)),
@@ -303,7 +304,7 @@ def _relation_terms(w, stats, mom, coef):
 
 
 def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=None,
-               weights=None, features=None, moments=None):
+               weights=None, features=None):
     """Value, terms and gradient of the components ``names``, in two passes over voxel tiles.
 
     The probabilities come from one source: ``probs`` (8, N) as given, in
@@ -315,8 +316,8 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     Pass 1 computes each tile's probabilities, keeps them in a tile-major
     buffer when the gradient is wanted, and sums the reductions that the
     components read: the class mass, each voxel's own-class probability
-    summed per class, the CE sum, and the product with the grid basis (or
-    takes the soft ``moments`` given). The components turn the sums into
+    summed per class, the CE sum, and the product with the grid basis.
+    The components turn the sums into
     their values and their gradient constants, folded into one (8, 10),
     (8, 4) or (8, 1) coefficient matrix on the grid basis, plus the
     gdice/CE constants at each voxel's label. Pass 2 builds each tile's
@@ -331,7 +332,6 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     grad_rows = 10 if "moment" in names else 4 if prior else 1
     basis = grid_basis(grid.dims, grid.spacing) if prior else None
     by_mass = gd or "volume" in names
-    by_basis = prior and moments is None
     if gd:
         g_sum = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
         columns = np.arange(tile)
@@ -370,7 +370,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
             hits = part if s == 0 else hits + part
             part = -float(np.log(np.maximum(p_own, CE_CLAMP)).sum())
             ce_sum = part if s == 0 else ce_sum + part
-        if by_basis:
+        if prior:
             part = P @ basis[:, s:e].T
             raw = part if s == 0 else raw + part
 
@@ -386,10 +386,8 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
         value += part
         terms.update(t)
     if prior:
-        mom = moments
-        if mom is None:
-            usable = [c for c in FOREGROUND_CLASSES if stats.class_usable(c)]
-            mom = SoftMoments(grid, usable, raw=raw)
+        usable = [c for c in FOREGROUND_CLASSES if stats.class_usable(c)]
+        mom = SoftMoments(grid, usable, raw=raw)
         for name, fn in (("moment", _moment_terms), ("relation", _relation_terms)):
             if name in names:
                 part, t = fn(w, stats, mom, coef)
@@ -437,11 +435,11 @@ def _enabled(cfg: LossConfig) -> list[str]:
     return [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
 
 
-def _prob_loss(name, p, stats, cfg, need_grad, labels=None, moments=None) -> LossEval:
+def _prob_loss(name, p, stats, cfg, need_grad, labels=None) -> LossEval:
     """One component over given probabilities; the gradient is dL/dP."""
     value, terms, grad = _objective(
         (name,), cfg.weights, stats, p, labels, need_grad=need_grad,
-        probs=p.data.reshape(N_CLASSES, -1), moments=moments)
+        probs=p.data.reshape(N_CLASSES, -1))
     return LossEval(float(value), None if grad is None else grad.reshape(p.data.shape), terms)
 
 
@@ -484,7 +482,6 @@ def moment_loss(
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
-    moments: SoftMoments | None = None,
 ) -> LossEval:
     """Squared L2/Frobenius distance of soft moments to the reference means.
 
@@ -493,11 +490,9 @@ def moment_loss(
     dm/dp(x) = (x - m)/mass and dM/dp(x) = ((x-m)(x-m)^T - M)/mass, a
     quadratic in x per class: it is reduced to ten coefficients on the grid
     basis and evaluated for all classes by one matrix product. Low-mass
-    classes and classes without stats are skipped. ``moments``, when given,
-    must be the SoftMoments of p over the classes ``stats.class_usable``
-    accepts, and spares their product with the grid basis.
+    classes and classes without stats are skipped.
     """
-    return _prob_loss("moment", p, stats, cfg, need_grad, moments=moments)
+    return _prob_loss("moment", p, stats, cfg, need_grad)
 
 
 def relation_loss(
@@ -506,7 +501,6 @@ def relation_loss(
     cfg: LossConfig = _DEFAULT_CONFIG,
     *,
     need_grad: bool = True,
-    moments: SoftMoments | None = None,
 ) -> LossEval:
     """Squared z-scores of centroid distances and vertex cosines.
 
@@ -514,9 +508,8 @@ def relation_loss(
     over soft centroids. Pairs/triples with zero reference std, missing
     stats, or segments shorter than stats.MIN_SEGMENT_MM are skipped. The
     gradient chains through the centroids via dm_c/dp_c(x) = (x - m_c)/mass_c.
-    ``moments``, when given, is as in moment_loss.
     """
-    return _prob_loss("relation", p, stats, cfg, need_grad, moments=moments)
+    return _prob_loss("relation", p, stats, cfg, need_grad)
 
 
 def _component(name: str, p: ProbVolume, g: Volume3, cfg: LossConfig, need_grad: bool):
@@ -542,9 +535,9 @@ def total_loss(
     W @ features, and the gradient is dL/dW; the logits then never exist
     as a whole grid. Components whose weights are all zero are not
     evaluated at all. Either way the objective runs in two passes over
-    tiles of TILE_VOXELS voxels (see ``_objective``), so the probabilities
-    and their gradient stay in cache, and the moment and relation terms
-    share one soft-moment reduction.
+    tiles of TILE_VOXELS voxels (see ``_objective``), so each tile's
+    probabilities and gradient are worked on while in cache, and the
+    moment and relation terms share one soft-moment reduction.
     """
     _require_labels(g)
     z = np.asarray(logits, dtype=np.float64)
@@ -556,7 +549,7 @@ def total_loss(
     else:
         f = np.asarray(features, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] != N_CLASSES or f.ndim < 2 or f.shape[0] != z.shape[1] \
-                or f[0].size != n:
+                or f.shape[1:] not in ((n,), g.dims):
             raise ShapeMismatch(f"weights {z.shape} and features {f.shape} do not make "
                                 f"logits for ground truth {g.dims}")
         source = {"weights": z, "features": f.reshape(f.shape[0], n)}

@@ -9,9 +9,9 @@ two-decoder design at desk scale. Everything stays in Float64 and every
 gradient is testable against finite differences.
 
 One case-epoch is one ``total_loss`` call over the weights and the case's
-features: the logits, probabilities and gradient are made tile by tile
-and never exist as whole grids, and the weight gradient is summed over
-the tiles. The tile size is fixed, so the result does not depend on
+features: the logits and their gradient are made tile by tile and
+never exist as whole grids, the probabilities are kept tile-major for
+the gradient pass, and the weight gradient is summed over the tiles. The tile size is fixed, so the result does not depend on
 ``jobs``, which only spreads cases over threads.
 
 Weight initialization is zeros (uniform prediction), which removes

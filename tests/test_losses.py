@@ -27,8 +27,10 @@ from cardioprior import (
     total_loss,
     volume_loss,
 )
-from cardioprior.losses import CE_CLAMP, EPSILON_GD, _central_differences, gradient_errors
-from cardioprior.stats import PAIRS, TRIPLES, SoftMoments
+from cardioprior.losses import (
+    CE_CLAMP, EPSILON_GD, _central_differences, _moment_terms, _relation_terms, gradient_errors,
+)
+from cardioprior.stats import PAIRS, TRIPLES, SoftMoments, grid_basis
 from conftest import label_volume
 from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
 
@@ -312,17 +314,24 @@ class TestDenseOracles:
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
     @pytest.mark.parametrize("fn", [moment_loss, relation_loss], ids=["moment", "relation"])
     def test_given_moments_change_no_bit(self, case, fn):
+        # the loss builds its soft moments from its own basis sums
+        # (SoftMoments(raw=)); given the moments SoftMoments(p) makes
+        # itself, the component's terms function yields the same bits
         p = soft_blob_case(*case)
-        # class 2 without stats: absent from the shared moments
+        # class 2 without stats: absent from the moments
         stats = replace(shifted_stats(p), class_n=np.where(np.arange(N_CLASSES) == 2, 0, 3))
         moments = SoftMoments(p, [c for c in FOREGROUND_CLASSES if stats.class_usable(c)])
+        terms_fn, rows = {moment_loss: (_moment_terms, 10), relation_loss: (_relation_terms, 4)}[fn]
+        w = LossConfig().weights
         for need_grad in (True, False):
             own = fn(p, stats, need_grad=need_grad)
-            given = fn(p, stats, need_grad=need_grad, moments=moments)
-            assert given.value == own.value and given.terms == own.terms
-            assert (given.grad is None) == (not need_grad)
+            coef = np.zeros((N_CLASSES, rows)) if need_grad else None
+            value, terms = terms_fn(w, stats, moments, coef)
+            assert value == own.value and terms == own.terms
+            assert (own.grad is None) == (not need_grad)
             if need_grad:
-                assert given.grad.tobytes() == own.grad.tobytes()
+                given = coef @ grid_basis(p.dims, p.spacing)[:rows]
+                assert given.tobytes() == own.grad.tobytes()
 
     @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
     def test_moment_terms_are_the_per_class_products(self, case):
@@ -507,6 +516,21 @@ class TestTotalLoss:
         lab = full_labels(rng)
         with pytest.raises(ShapeMismatch):
             total_loss(np.zeros((8, 4, 4, 4)), lab, LossConfig())
+
+    @pytest.mark.parametrize("shape", [(3, 6, 6, 5), (3, 4, 6, 9), (3, 216, 1), (3, 215), (4, 216)],
+                             ids=["fewer-voxels", "same-count-other-dims", "three-dims-flat",
+                                  "flat-short", "feature-count"])
+    def test_features_shape_mismatch(self, rng, shape):
+        lab = full_labels(rng)
+        with pytest.raises(ShapeMismatch):
+            total_loss(np.zeros((8, 3)), lab, LossConfig(), features=np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 216), (3, 6, 6, 6)], ids=["flat", "grid"])
+    def test_features_flat_or_grid(self, rng, shape):
+        lab = full_labels(rng)
+        cfg = LossConfig(weights={k: float(k in ("gdice", "ce")) for k in default_weights()})
+        ev = total_loss(np.zeros((8, 3)), lab, cfg, features=np.ones(shape))
+        assert ev.grad.shape == (8, 3)
 
 
 class TestGradcheck:
