@@ -7,6 +7,8 @@ else to exit code 2.
 
 from __future__ import annotations
 
+import operator
+
 
 class CardioPriorError(Exception):
     """Base class for all input/validation errors raised by this package."""
@@ -35,6 +37,17 @@ class IoFailure(CardioPriorError):
 
 class InvalidParameter(CardioPriorError, ValueError):
     """A parameter outside its valid range, such as a grid size, an epoch count or a weight."""
+
+
+def int_parameter(value, name: str) -> int:
+    """``value`` as an int; a bool, a float, a string or another non-integer raises
+    InvalidParameter. NumPy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameter(f"{name} must be an integer, got {value!r}")
 
 
 # geometry / resampling

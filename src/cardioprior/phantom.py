@@ -11,6 +11,16 @@ cannot change results.
 Geometry is implicit and evaluated at voxel centers, so ground-truth
 volumes, centroids, and moments have closed forms; ``canonical_volumes``
 exposes them for sanity checks against the voxelized statistics.
+
+Each compartment is tested only on the voxels of its world-space bounding
+box, widened by one voxel and clipped to the grid. The pose is a rotation
+(which keeps distances), a translation and a uniform scale, so the box
+holds every voxel the compartment can contain: an ellipsoid lies within
+``s * max(semi_axes * axis_factor)`` of its posed centre, and a capsule
+within ``s * radius * axis_factor[0]`` of its two posed endpoints' box.
+The canonical coordinates are still computed for the whole grid at once,
+so every tested voxel sees the same values as a whole-grid test would,
+and the labels are the same.
 """
 
 from __future__ import annotations
@@ -19,7 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpec, InvalidLabelValue, InvalidParameter, UnknownMode
+from .errors import (
+    DegenerateSpec,
+    InvalidLabelValue,
+    InvalidParameter,
+    UnknownMode,
+    int_parameter,
+)
 from .preprocess import FovSpec
 from .volume import FOREGROUND_CLASSES, Volume3, voxel_center_grid
 
@@ -35,6 +51,13 @@ class _Ellipsoid:
     def volume(self) -> float:
         a, b, c = self.semi_axes
         return 4.0 / 3.0 * np.pi * a * b * c
+
+    def world_bounds(self, R: np.ndarray, t: np.ndarray, s: float,
+                     axis_factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corners of a world box holding the shape posed by x = s R y + t."""
+        centre = s * (R @ np.asarray(self.center)) + t
+        r = s * float(np.max(np.asarray(self.semi_axes) * axis_factor))
+        return centre - r, centre + r
 
     def contains(self, y: np.ndarray, axis_factor: np.ndarray) -> np.ndarray:
         ax = np.asarray(self.semi_axes) * axis_factor
@@ -56,6 +79,13 @@ class _Capsule:
         length = float(np.linalg.norm(np.subtract(self.p1, self.p0)))
         r = self.radius
         return np.pi * r * r * length + 4.0 / 3.0 * np.pi * r ** 3
+
+    def world_bounds(self, R: np.ndarray, t: np.ndarray, s: float,
+                     axis_factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corners of a world box holding the shape posed by x = s R y + t."""
+        ends = s * (np.array([self.p0, self.p1]) @ R.T) + t
+        r = s * self.radius * float(axis_factor[0])
+        return ends.min(axis=0) - r, ends.max(axis=0) + r
 
     def contains(self, y: np.ndarray, axis_factor: np.ndarray) -> np.ndarray:
         # only the radius varies; endpoints are part of the constellation
@@ -132,6 +162,14 @@ class Jitter:
         return Jitter(0.0, 0.0, (1.0, 1.0), 0.0)
 
 
+def _philox_key(value, name: str) -> int:
+    """A seed or case index: an integer in [0, 2**64), one word of the Philox key."""
+    key = int_parameter(value, name)
+    if not 0 <= key < 2**64:
+        raise InvalidParameter(f"{name} must be in [0, 2**64), got {value!r}")
+    return key
+
+
 def _default_grid() -> FovSpec:
     return FovSpec((48, 48, 48), 2.0)
 
@@ -144,8 +182,7 @@ class PhantomSpec:
     noise_sigma: float = 12.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParameter(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", _philox_key(self.seed, "seed"))
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidParameter(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -179,9 +216,8 @@ def generate(spec: PhantomSpec, case_index: int) -> tuple[Volume3, Volume3]:
     translation, scale, per-compartment axis factors, image noise).
     """
     _check_fit(spec)
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([spec.seed, case_index], dtype=np.uint64))
-    )
+    key = [spec.seed, _philox_key(case_index, "case_index")]
+    rng = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
     axis = rng.standard_normal(3)
     angle = np.deg2rad(rng.uniform(-spec.jitter.pose_rotation_max_deg,
                                    spec.jitter.pose_rotation_max_deg))
@@ -199,9 +235,16 @@ def generate(spec: PhantomSpec, case_index: int) -> tuple[Volume3, Volume3]:
     y = np.tensordot(R.T, shifted, axes=(1, 0)) / scale
 
     labels = np.zeros(spec.grid.grid_size, dtype=np.uint8)
+    dims = np.asarray(spec.grid.grid_size)
     for row, (cid, shape) in enumerate(_ASSIGNMENT):
-        inside = shape.contains(y, axis_factors[row]) & (labels == 0)
-        labels[inside] = cid
+        lo, hi = shape.world_bounds(R, translation, scale, axis_factors[row])
+        # the voxels of the box, one more on each side, clipped to the grid
+        start = np.clip(np.floor((lo - offset) / spec.grid.spacing_mm) - 1, 0, dims)
+        stop = np.clip(np.ceil((hi - offset) / spec.grid.spacing_mm) + 2, 0, dims)
+        box = tuple(map(slice, start.astype(int), stop.astype(int)))
+        free = labels[box]
+        inside = shape.contains(y[(slice(None),) + box], axis_factors[row]) & (free == 0)
+        free[inside] = cid
 
     base = np.asarray(BASE_INTENSITY)[labels]
     noise = rng.standard_normal(spec.grid.grid_size) * spec.noise_sigma

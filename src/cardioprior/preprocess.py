@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyForeground, InvalidParameter, InvalidSpacing
+from .errors import EmptyForeground, InvalidParameter, InvalidSpacing, int_parameter
 from .volume import Volume3, voxel_center_grid
 
 _SNAP = 1e-9  # voxels
@@ -32,7 +32,7 @@ class FovSpec:
     spacing_mm: float = 1.5
 
     def __post_init__(self) -> None:
-        size = tuple(int(n) for n in self.grid_size)
+        size = tuple(int_parameter(n, "grid_size component") for n in self.grid_size)
         if len(size) != 3 or any(n < 8 for n in size):
             raise InvalidParameter(f"grid_size components must be >= 8, got {self.grid_size}")
         object.__setattr__(self, "grid_size", size)

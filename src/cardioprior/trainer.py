@@ -9,10 +9,11 @@ two-decoder design at desk scale. Everything stays in Float64 and every
 gradient is testable against finite differences.
 
 One case-epoch is one ``total_loss`` call over the weights and the case's
-features: the logits and their gradient are made tile by tile and
-never exist as whole grids, the probabilities are kept tile-major for
-the gradient pass, and the weight gradient is summed over the tiles. The tile size is fixed, so the result does not depend on
-``jobs``, which only spreads cases over threads.
+features: the logits and their gradient are made tile by tile and never
+exist as whole grids, the probabilities are kept tile-major for the
+gradient pass, and the weight gradient is summed over the tiles. The tile
+size is fixed, so the result does not depend on ``jobs``, which only
+spreads cases over threads.
 
 Weight initialization is zeros (uniform prediction), which removes
 initialization randomness from comparisons between loss configurations.
@@ -29,7 +30,14 @@ import numpy as np
 
 from ._version import __version__
 from .align import HeatmapAtlas
-from .errors import ArityMismatch, GridMismatch, InvalidModel, InvalidParameter, NonfiniteLoss
+from .errors import (
+    ArityMismatch,
+    GridMismatch,
+    InvalidModel,
+    InvalidParameter,
+    NonfiniteLoss,
+    int_parameter,
+)
 from .losses import (
     WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, softmax, total_loss,
 )
@@ -192,9 +200,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("epochs", "jobs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+            int_parameter(getattr(self, name), name)
         for name in ("step_size", "aux_weight"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,

@@ -165,9 +165,11 @@ def voxel_center_grid(
     offset: tuple[float, float, float],
 ) -> np.ndarray:
     """World coordinates of all voxel centers on a grid, shape (3, nx, ny, nz)."""
-    axes = [offset[a] + spacing[a] * np.arange(dims[a], dtype=np.float64) for a in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack([gx, gy, gz])
+    out = np.empty((3,) + tuple(dims), dtype=np.float64)
+    for a in range(3):
+        line = offset[a] + spacing[a] * np.arange(dims[a], dtype=np.float64)
+        out[a] = line.reshape([-1 if b == a else 1 for b in range(3)])
+    return out
 
 
 def one_hot(labels: Volume3) -> ProbVolume:

@@ -17,6 +17,10 @@ The artifacts:
   stats, atlas, train with a loss config, the atlas and the auxiliary head,
   eval with HD95, report). Manifests are hashed without their timestamp and
   ``--jobs`` echo, with paths relative to the run root.
+* ``phantom/<grid>/case_<k>/{image,labels}``: the array bytes of
+  ``generate`` for cases 0-4 of ``PhantomSpec(seed=0)`` at the default
+  48^3, 2 mm grid, and of seed 0 under the widest jitter (45 degrees, 8 mm,
+  scale 0.8-1.2, axis 0.49) at 64^3, 2.5 mm.
 
 ``--jobs`` sets the training and CLI parallelism; no hash may depend on it.
 The file name keeps pytest from collecting this script.
@@ -78,6 +82,23 @@ def gradchecks() -> dict[str, str]:
     out = {f"gradcheck/{loss}": _sha(_json_bytes(cp.gradcheck(loss, size=5, seed=0)))
            for loss in cp.GRADCHECK_LOSSES}
     out["gradcheck/weight"] = _sha(_json_bytes(cp.weight_gradcheck(seed=0)))
+    return out
+
+
+PHANTOM_GRIDS = {
+    "default": cp.PhantomSpec(seed=0),
+    "max_jitter": cp.PhantomSpec(grid=cp.FovSpec((64, 64, 64), 2.5), seed=0,
+                                 jitter=cp.Jitter(45.0, 8.0, (0.8, 1.2), 0.49)),
+}
+
+
+def phantoms() -> dict[str, str]:
+    out = {}
+    for name, spec in PHANTOM_GRIDS.items():
+        for k in range(5):
+            image, labels = cp.generate(spec, k)
+            out[f"phantom/{name}/case_{k:03d}/image"] = _sha(image.data.tobytes())
+            out[f"phantom/{name}/case_{k:03d}/labels"] = _sha(labels.data.tobytes())
     return out
 
 
@@ -146,6 +167,7 @@ def main(argv=None) -> int:
         hashes.update(gradchecks())
         os.makedirs(os.path.join(tmp, "cli"))
         hashes.update(cli_chain(args.jobs, os.path.join(tmp, "cli")))
+    hashes.update(phantoms())
     lines = [f"{digest}  {name}" for name, digest in hashes.items()]
     lines.append(f"{_sha(chr(10).join(lines).encode('utf-8'))}  ALL")
     print("\n".join(lines))

@@ -447,3 +447,38 @@ def soft_blob_case(seed, dims, spacing, offset, corner_class=None):
         logits[corner_class] = -40.0
         logits[corner_class, :2, :2, :2] = 0.0
     return ProbVolume(softmax(logits), spacing, offset)
+
+
+def phantom_pose(spec, case_index):
+    """The pose draws of ``phantom.generate`` in its documented order:
+    (R, translation, scale, axis_factors, rng), the rng left at the noise draw."""
+    from cardioprior.phantom import _ASSIGNMENT, _rotation_matrix
+
+    jit = spec.jitter
+    key = np.array([spec.seed, case_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    axis = rng.standard_normal(3)
+    angle = np.deg2rad(rng.uniform(-jit.pose_rotation_max_deg, jit.pose_rotation_max_deg))
+    translation = rng.uniform(-jit.translation_max_mm, jit.translation_max_mm, size=3)
+    scale = rng.uniform(*jit.scale_range)
+    axis_factors = 1.0 + jit.axis_variation * rng.uniform(-1.0, 1.0, size=(len(_ASSIGNMENT), 3))
+    return _rotation_matrix(axis, angle), translation, scale, axis_factors, rng
+
+
+def full_grid_phantom(spec, case_index):
+    """Image and label arrays of ``phantom.generate`` with every compartment
+    tested on every voxel; the voxel centres come from ``np.meshgrid``."""
+    from cardioprior.phantom import _ASSIGNMENT, BASE_INTENSITY
+
+    R, translation, scale, axis_factors, rng = phantom_pose(spec, case_index)
+    dims, spacing = spec.grid.grid_size, spec.grid.spacing
+    offset = spec.grid.origin_centered_offset()
+    lines = [offset[a] + spacing[a] * np.arange(dims[a], dtype=np.float64) for a in range(3)]
+    x = np.stack(np.meshgrid(*lines, indexing="ij"))
+    y = np.tensordot(R.T, x - translation[:, None, None, None], axes=(1, 0)) / scale
+    labels = np.zeros(dims, dtype=np.uint8)
+    for row, (cid, shape) in enumerate(_ASSIGNMENT):
+        labels[shape.contains(y, axis_factors[row]) & (labels == 0)] = cid
+    noise = rng.standard_normal(dims) * spec.noise_sigma
+    image = (np.asarray(BASE_INTENSITY)[labels] + noise).astype(np.float32)
+    return image, labels

@@ -9,6 +9,7 @@ from cardioprior import (
     DegenerateSpec,
     FovSpec,
     InvalidLabelValue,
+    InvalidParameter,
     Jitter,
     PhantomSpec,
     UnknownMode,
@@ -17,7 +18,12 @@ from cardioprior import (
     generate,
     overlap,
 )
+from cardioprior.phantom import _ASSIGNMENT
 from conftest import label_volume
+from oracles import full_grid_phantom, phantom_pose
+
+#: The widest jitter that Jitter admits; _check_fit admits it on a 160 mm field of view.
+MAX_JITTER = Jitter(45.0, 8.0, (0.8, 1.2), 0.49)
 
 
 def zero_jitter_spec(noise=0.0):
@@ -96,6 +102,68 @@ class TestGenerate:
     def test_grid_too_small_rejected(self):
         with pytest.raises(DegenerateSpec):
             generate(PhantomSpec(grid=FovSpec((16, 16, 16), 2.0)), 0)
+
+
+class TestBoxesEqualWholeGrid:
+    """``generate`` tests each compartment on its bounding box only; the
+    labels and the image must equal a test of every voxel."""
+
+    SPECS = {
+        "anisotropic": (PhantomSpec(grid=FovSpec((50, 56, 64), 2.0), seed=7), range(4)),
+        "max_jitter": (PhantomSpec(grid=FovSpec((64, 64, 64), 2.5), seed=8,
+                                   jitter=MAX_JITTER), range(4)),
+        "max_jitter_coarse": (PhantomSpec(grid=FovSpec((8, 8, 8), 20.0), jitter=MAX_JITTER),
+                              range(40)),
+        "zero_jitter": (PhantomSpec(jitter=Jitter.none()), range(2)),
+        "zero_jitter_coarse": (PhantomSpec(grid=FovSpec((8, 8, 8), 9.7), jitter=Jitter.none()),
+                               range(2)),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_equals_full_grid_oracle(self, name):
+        spec, cases = self.SPECS[name]
+        for k in cases:
+            image, labels = generate(spec, k)
+            ref_image, ref_labels = full_grid_phantom(spec, k)
+            assert (labels.data == ref_labels).all()
+            assert (image.data == ref_image).all()
+
+    @staticmethod
+    def margin_reaches_a_face(spec, k):
+        """Whether some compartment's box, one voxel wider, runs off the grid."""
+        R, t, s, axis_factors, _ = phantom_pose(spec, k)
+        sp = spec.grid.spacing_mm
+        first = np.asarray(spec.grid.origin_centered_offset())
+        last = first + sp * (np.asarray(spec.grid.grid_size) - 1)
+        for row, (_, shape) in enumerate(_ASSIGNMENT):
+            lo, hi = shape.world_bounds(R, t, s, axis_factors[row])
+            if (lo - sp < first).any() or (hi + sp > last).any():
+                return True
+        return False
+
+    @pytest.mark.parametrize("name", ["max_jitter_coarse", "zero_jitter_coarse"])
+    def test_coarse_grids_clip_the_margin(self, name):
+        spec, cases = self.SPECS[name]
+        assert any(self.margin_reaches_a_face(spec, k) for k in cases)
+
+
+class TestTypedIntegers:
+    @pytest.mark.parametrize("case", [-1, 2**64, 1.5, True, "1", None])
+    def test_bad_case_index(self, case):
+        with pytest.raises(InvalidParameter):
+            generate(PhantomSpec(grid=FovSpec((12, 12, 12), 8.0)), case)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, "1"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(InvalidParameter):
+            PhantomSpec(seed=seed)
+
+    def test_numpy_integers_pass(self):
+        spec = PhantomSpec(grid=FovSpec((12, 12, 12), 8.0), seed=np.uint64(2**64 - 1))
+        _, lab = generate(spec, np.int64(1))
+        _, ref = generate(PhantomSpec(grid=FovSpec((12, 12, 12), 8.0), seed=2**64 - 1), 1)
+        assert lab.data.tobytes() == ref.data.tobytes()
+        assert type(spec.seed) is int
 
 
 class TestDegrade:

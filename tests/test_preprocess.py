@@ -4,6 +4,7 @@ import pytest
 from cardioprior import (
     EmptyForeground,
     FovSpec,
+    InvalidParameter,
     InvalidSpacing,
     Volume3,
     embed_fov,
@@ -37,6 +38,17 @@ class TestFovSpec:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             FovSpec((4, 16, 16), 1.0)
+
+    @pytest.mark.parametrize("size", [(16.9, 16, 16), (16, 16, "16"), (16, True, 16),
+                                      (16.0, 16, 16)])
+    def test_rejects_non_integer_size(self, size):
+        with pytest.raises(InvalidParameter):
+            FovSpec(size, 6.0)
+
+    def test_numpy_integer_size(self):
+        fov = FovSpec(tuple(np.arange(16, 19)), 6.0)
+        assert fov.grid_size == (16, 17, 18)
+        assert all(type(n) is int for n in fov.grid_size)
 
 
 class TestSampleAtWorld:

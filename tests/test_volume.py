@@ -143,6 +143,15 @@ class TestVolume3Validation:
         assert tuple(xyz[:, 0, 0, 0]) == (-1.0, 0.0, 4.0)
         assert tuple(xyz[:, 1, 2, 1]) == (1.0, 2.0, 4.5)
 
+    def test_voxel_center_grid_equals_meshgrid(self):
+        dims, spacing, offset = (5, 3, 7), (0.7, 1.3, 2.9), (-3.1, 0.25, 11.0)
+        xyz = voxel_center_grid(dims, spacing, offset)
+        lines = [offset[a] + spacing[a] * np.arange(dims[a], dtype=np.float64) for a in range(3)]
+        ref = np.stack(np.meshgrid(*lines, indexing="ij"))
+        assert xyz.shape == ref.shape and xyz.tobytes() == ref.tobytes()
+        assert xyz.dtype == np.float64
+        assert xyz.flags.c_contiguous and xyz.flags.writeable
+
 
 class TestProbVolumeLayout:
     def test_data_is_c_contiguous(self, rng):
