@@ -18,7 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._version import __version__
-from .errors import DegenerateConfiguration, InsufficientLandmarks, InvalidAtlas, InvalidParameter
+from .errors import (
+    DegenerateConfiguration, InsufficientLandmarks, InvalidAtlas, InvalidParameter, InvalidSpacing,
+)
 from .preprocess import FovSpec, sample_at_world
 from .volume import (
     CLASS_NAMES,
@@ -309,10 +311,13 @@ def load_atlas(atlas_dir: str | os.PathLike) -> HeatmapAtlas:
     if manifest.get("classes") != list(CLASS_NAMES):
         raise InvalidAtlas("atlas manifest class roster does not match this build")
     with json_fields(manifest_path, InvalidAtlas):
-        fov = FovSpec(
-            tuple(manifest["reference_grid"]["grid_size"]),
-            manifest["reference_grid"]["spacing_mm"],
-        )
+        try:
+            fov = FovSpec(
+                tuple(manifest["reference_grid"]["grid_size"]),
+                manifest["reference_grid"]["spacing_mm"],
+            )
+        except InvalidSpacing as exc:
+            raise InvalidAtlas(f"{manifest_path} holds a malformed value: {exc}") from exc
         transforms = {}
         for cid, entry in manifest["transforms"].items():
             m = np.asarray(entry["matrix"], dtype=np.float64).reshape(3, 4)

@@ -40,6 +40,7 @@ from .errors import (
     InvalidLossConfig, InvalidParameter, NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss,
 )
 from .stats import (
+    _PAIR_AT,
     PAIRS,
     TRIPLES,
     ShapeStats,
@@ -73,6 +74,13 @@ COMPONENTS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 WEIGHT_KEYS = tuple(k for _, keys in COMPONENTS.values() for k in keys)
+
+#: The per-class term names, one per FOREGROUND_CLASSES entry, and the
+#: foreground as an (8,) mask: background is never scored.
+_VOLUME_TERMS = tuple(f"volume_{CLASS_NAMES[c]}" for c in FOREGROUND_CLASSES)
+_CENTROID_TERMS = tuple(f"moment_centroid_{CLASS_NAMES[c]}" for c in FOREGROUND_CLASSES)
+_SECOND_TERMS = tuple(f"moment_second_{CLASS_NAMES[c]}" for c in FOREGROUND_CLASSES)
+_FOREGROUND = np.arange(N_CLASSES) > 0
 
 
 def default_weights() -> dict[str, float]:
@@ -189,27 +197,24 @@ def _gdice_ce_terms(w, mass, hits, ce_sum, g_sum, n_vox, coef):
 def _volume_terms(w, stats, mass, voxel_volume, coef):
     """Squared volume z-scores; the gradient is one constant per class, in ``coef[:, 0]``."""
     w = w["volume"]
-    terms: dict[str, float] = {}
+    scored = stats.volume_scored.tolist()
+    if not any(scored[1:]):
+        raise NoUsableStats("volume_loss: every class lacks usable volume statistics")
+    # stable key set, skipped classes at 0.0: the trace aggregation relies
+    # on every case reporting the same columns
+    terms = dict.fromkeys(_VOLUME_TERMS, 0.0)
     value = 0.0
-    any_scored = False
-    mass = mass.tolist()
-    for c in FOREGROUND_CLASSES:
-        name = CLASS_NAMES[c]
-        sigma = float(stats.volume_std[c])
-        if int(stats.class_n[c]) == 0 or not np.isfinite(sigma) or sigma <= 0.0:
-            # stable key set: the trace aggregation relies on every case
-            # reporting the same columns
-            terms[f"volume_{name}"] = 0.0
+    mass, mean, std = mass.tolist(), stats.volume_mean.tolist(), stats.volume_std.tolist()
+    for c, name in zip(FOREGROUND_CLASSES, _VOLUME_TERMS):
+        if not scored[c]:
             continue
-        any_scored = True
-        z = (mass[c] * voxel_volume - float(stats.volume_mean[c])) / sigma
+        sigma = std[c]
+        z = (mass[c] * voxel_volume - mean[c]) / sigma
         term = w * z * z
-        terms[f"volume_{name}"] = term
+        terms[name] = term
         value += term
         if coef is not None:
             coef[c, 0] += 2.0 * w * z / sigma * voxel_volume
-    if not any_scored:
-        raise NoUsableStats("volume_loss: every class lacks usable volume statistics")
     return value, terms
 
 
@@ -228,14 +233,13 @@ def _moment_terms(w, stats, mom, coef):
     present = mom.present.tolist()
     terms: dict[str, float] = {}
     value = 0.0
-    for c in FOREGROUND_CLASSES:
-        name = CLASS_NAMES[c]
+    for c, centroid_name, second_name in zip(FOREGROUND_CLASSES, _CENTROID_TERMS, _SECOND_TERMS):
         if not present[c]:
-            terms[f"moment_centroid_{name}"] = 0.0
-            terms[f"moment_second_{name}"] = 0.0
+            terms[centroid_name] = 0.0
+            terms[second_name] = 0.0
             continue
-        terms[f"moment_centroid_{name}"] = t1[c]
-        terms[f"moment_second_{name}"] = t2[c]
+        terms[centroid_name] = t1[c]
+        terms[second_name] = t2[c]
         value += t1[c] + t2[c]
         if coef is not None:
             # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
@@ -255,31 +259,30 @@ def _relation_terms(w, stats, mom, coef):
     """Centroid-relation z-scores; the gradient of class c is coef[c, :4] on the rows 1, u, v, w."""
     w_d = w["relation_dist"]
     w_a = w["relation_angle"]
-    if int(mom.present.sum()) < 2:
+    if np.count_nonzero(mom.present) < 2:
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
     need_grad = coef is not None
     seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
-    G = np.zeros((N_CLASSES, 3))  # dL/dm_c accumulator
+    G = np.zeros((N_CLASSES, 3)) if need_grad else None  # dL/dm_c accumulator
     dist_val = 0.0
     angle_val = 0.0
 
     if w_d > 0.0:
-        I, J = PAIRS.T
-        d = length[I, J]
-        ok = np.isfinite(d) & (stats.pair_std > 0.0) & np.isfinite(stats.pair_mean)
+        d = length.reshape(-1).take(_PAIR_AT)
+        ok = np.isfinite(d) & stats.pair_scorable
         if ok.any():
             d, mean, std = d[ok], stats.pair_mean[ok], stats.pair_std[ok]
             z = (d - mean) / std
             dist_val = w_d * float(z @ z)
             if need_grad:
-                I, J = I[ok], J[ok]
+                I, J = PAIRS[ok].T
                 dvec = seg[I, J]
                 scale = 2.0 * w_d * z / (std * d)
                 np.add.at(G, I, scale[:, None] * dvec)
                 np.add.at(G, J, -scale[:, None] * dvec)
 
     if w_a > 0.0:
-        ok = np.isfinite(cos) & (stats.triple_std > 0.0) & np.isfinite(stats.triple_mean)
+        ok = np.isfinite(cos) & stats.triple_scorable
         if ok.any():
             cos, mean, std = cos[ok], stats.triple_mean[ok], stats.triple_std[ok]
             z = (cos - mean) / std
@@ -386,8 +389,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
         value += part
         terms.update(t)
     if prior:
-        usable = [c for c in FOREGROUND_CLASSES if stats.class_usable(c)]
-        mom = SoftMoments(grid, usable, raw=raw)
+        mom = SoftMoments(grid, stats.usable & _FOREGROUND, raw=raw)
         for name, fn in (("moment", _moment_terms), ("relation", _relation_terms)):
             if name in names:
                 part, t = fn(w, stats, mom, coef)
@@ -432,7 +434,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
 def _enabled(cfg: LossConfig) -> list[str]:
     """The COMPONENTS with a positive weight, in table order."""
     w = cfg.weights
-    return [n for n, (_, keys) in COMPONENTS.items() if any(w[k] > 0.0 for k in keys)]
+    return [n for n, (_, keys) in COMPONENTS.items() if any([w[k] > 0.0 for k in keys])]
 
 
 def _prob_loss(name, p, stats, cfg, need_grad, labels=None) -> LossEval:
@@ -554,9 +556,8 @@ def total_loss(
                                 f"logits for ground truth {g.dims}")
         source = {"weights": z, "features": f.reshape(f.shape[0], n)}
     names = _enabled(cfg)
-    regularized = tuple(n for n in names if n != "gdice_ce")
-    if regularized and cfg.stats is None:
-        raise NoUsableStats(f"cfg.stats required for enabled components {regularized}")
+    if cfg.stats is None and (regularized := [n for n in names if n != "gdice_ce"]):
+        raise NoUsableStats(f"cfg.stats required for enabled components {tuple(regularized)}")
     value, terms, grad = _objective(names, cfg.weights, cfg.stats, g, g.data.reshape(-1),
                                     need_grad=need_grad, **source)
     if grad is not None and features is None:

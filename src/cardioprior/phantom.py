@@ -261,16 +261,21 @@ _STRUCT6[1, 1, :] = _STRUCT6[1, :, 1] = _STRUCT6[:, 1, 1] = True
 def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
     """Deterministic label corruption for metric and loss testing.
 
-    magnitude means: erode/dilate -> iterations (int >= 0); drop_class ->
-    the class id to erase; swap_boundary -> fraction of boundary voxels
-    reassigned to a random differing neighbor's label (seeded). Only erode
+    magnitude means: erode/dilate -> iterations (an integer >= 0);
+    drop_class -> the class id to erase (an integer); swap_boundary ->
+    fraction of boundary voxels reassigned to a random differing
+    neighbor's label (seeded), a real number in [0, 1]. A magnitude of
+    another type or outside its range raises InvalidParameter. Only erode
     and dilate load scipy.
     """
     out = labels.data.copy()
+    if mode in ("erode", "dilate"):
+        it = int_parameter(magnitude, f"{mode} iterations")
+        if it < 0:
+            raise InvalidParameter(f"{mode} iterations must be >= 0, got {it}")
     if mode == "erode":
         from scipy import ndimage
 
-        it = int(magnitude)
         if it > 0:
             for c in FOREGROUND_CLASSES:
                 m = labels.data == c
@@ -280,7 +285,6 @@ def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
     elif mode == "dilate":
         from scipy import ndimage
 
-        it = int(magnitude)
         if it > 0:
             for c in FOREGROUND_CLASSES:
                 m = labels.data == c
@@ -288,14 +292,17 @@ def degrade(labels: Volume3, mode: str, magnitude, seed: int = 0) -> Volume3:
                     grown = ndimage.binary_dilation(m, _STRUCT6, iterations=it)
                     out[grown & (out == 0)] = c
     elif mode == "drop_class":
-        cid = int(magnitude)
+        cid = int_parameter(magnitude, "drop_class class id")
         if cid not in FOREGROUND_CLASSES:
             raise InvalidLabelValue(f"drop_class needs a foreground class id, got {magnitude}")
         out[out == cid] = 0
     elif mode == "swap_boundary":
+        if isinstance(magnitude, bool) or not isinstance(magnitude, (int, float, np.integer,
+                                                                     np.floating)):
+            raise InvalidParameter(f"swap_boundary fraction must be a number, got {magnitude!r}")
         frac = float(magnitude)
         if not 0.0 <= frac <= 1.0:
-            raise ValueError(f"swap_boundary fraction must be in [0, 1], got {magnitude}")
+            raise InvalidParameter(f"swap_boundary fraction must be in [0, 1], got {magnitude}")
         src = labels.data
         shifts = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
         boundary = np.zeros(src.shape, dtype=bool)

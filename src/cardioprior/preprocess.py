@@ -32,13 +32,20 @@ class FovSpec:
     spacing_mm: float = 1.5
 
     def __post_init__(self) -> None:
-        size = tuple(int_parameter(n, "grid_size component") for n in self.grid_size)
+        try:
+            size = tuple(int_parameter(n, "grid_size component") for n in self.grid_size)
+        except TypeError:  # not iterable
+            raise InvalidParameter(f"grid_size must be 3 integers, got {self.grid_size!r}") \
+                from None
         if len(size) != 3 or any(n < 8 for n in size):
             raise InvalidParameter(f"grid_size components must be >= 8, got {self.grid_size}")
         object.__setattr__(self, "grid_size", size)
-        if not (math.isfinite(self.spacing_mm) and self.spacing_mm > 0):
-            raise InvalidSpacing(f"spacing_mm must be finite and positive, got {self.spacing_mm}")
-        object.__setattr__(self, "spacing_mm", float(self.spacing_mm))
+        spacing = self.spacing_mm
+        real = not isinstance(spacing, bool) and isinstance(spacing, (int, float, np.integer,
+                                                                      np.floating))
+        if not (real and math.isfinite(spacing) and spacing > 0):
+            raise InvalidSpacing(f"spacing_mm must be a finite positive number, got {spacing!r}")
+        object.__setattr__(self, "spacing_mm", float(spacing))
 
     @property
     def spacing(self) -> tuple[float, float, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -75,15 +75,16 @@ class SoftMoments:
 
     ``mass`` (8,), ``centroid`` (8, 3), ``second_moment`` (8, 3, 3) and
     ``present`` (8,) are indexed by class id. A class is present, with
-    finite moments, when it is in ``classes`` and its mass reaches the
-    floor; otherwise its moments are nan, since they are divided by a mass
-    that is nan on its row. The (8, N) probabilities times the (N, 10) grid
-    basis give each class's mass and its raw first and second moments
-    about the grid centre; ``raw``, when given, is that (8, 10) product as
-    the caller summed it, and ``p`` then only lends its grid (any volume
-    with dims, spacing and offset). ``mu`` is the centroid relative to the
-    grid centre and the central moment is M = R - mu mu^T, each entry
-    computed once and written to both halves, so M is exactly symmetric.
+    finite moments, when it is in ``classes`` (class ids, or an (8,) bool
+    mask) and its mass reaches the floor; otherwise its moments are nan,
+    since they are divided by a mass that is nan on its row. The (8, N)
+    probabilities times the (N, 10) grid basis give each class's mass and
+    its raw first and second moments about the grid centre; ``raw``, when
+    given, is that (8, 10) product as the caller summed it, and ``p`` then
+    only lends its grid (any volume with dims, spacing and offset). ``mu``
+    is the centroid relative to the grid centre and the central moment is
+    M = R - mu mu^T, each entry computed once and written to both halves,
+    so M is exactly symmetric.
     Taking the moments about the grid centre rather than the world origin
     bounds the cancellation error of M to about eps * |mu|^2 / ||M||,
     relative, however far the grid sits from the origin.
@@ -94,14 +95,15 @@ class SoftMoments:
         if raw is None:
             raw = p.data.reshape(N_CLASSES, -1) @ grid_basis(p.dims, p.spacing).T
         self.mass = raw[:, 0]
-        self.present = np.zeros(N_CLASSES, dtype=bool)
-        self.present[list(classes)] = True
-        self.present &= self.mass >= MASS_EPSILON
+        if not (isinstance(classes, np.ndarray) and classes.dtype == bool):
+            ids, classes = classes, np.zeros(N_CLASSES, dtype=bool)
+            classes[list(ids)] = True
+        self.present = classes & (self.mass >= MASS_EPSILON)
         mass = np.where(self.present, self.mass, np.nan)[:, None]
         first = raw[:, 1:4]
         self.mu = first / mass
         # (sum p u_a u_b - sum p u_a * mu_b) / mass, once per pair (a, b)
-        quadratic = (raw[:, 4:] - first[:, _QA] * self.mu[:, _QB]) / mass
+        quadratic = (raw[:, 4:] - first.take(_QA, axis=1) * self.mu.take(_QB, axis=1)) / mass
         # take, not quadratic[:, _SYM]: that gives a strided M, and sums over
         # a strided M add in another order
         self.second_moment = quadratic.take(_SYM, axis=1).reshape(N_CLASSES, 3, 3)
@@ -143,6 +145,11 @@ TRIPLES = np.array([
     (i, j, k) for j in FOREGROUND_CLASSES
     for i in FOREGROUND_CLASSES for k in FOREGROUND_CLASSES if j not in (i, k) and i < k
 ])
+#: The same rows as flat indices row * 8 + col into an (8, 8) table: each
+#: pair (i, j), and each triple's two segments (i, j) and (k, j).
+_PAIR_AT = PAIRS[:, 0] * N_CLASSES + PAIRS[:, 1]
+_TRIPLE_IJ = TRIPLES[:, 0] * N_CLASSES + TRIPLES[:, 1]
+_TRIPLE_KJ = TRIPLES[:, 2] * N_CLASSES + TRIPLES[:, 1]
 
 
 def relation_geometry(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,10 +163,13 @@ def relation_geometry(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     """
     m = np.asarray(centroids, dtype=np.float64)
     seg = m[:, None, :] - m[None, :, :]
-    length = np.linalg.norm(seg, axis=2)
+    # what np.linalg.norm(seg, axis=2) computes for real input
+    length = np.sqrt(np.add.reduce(seg * seg, axis=2))
     length[~(length >= MIN_SEGMENT_MM)] = np.nan
-    i, j, k = TRIPLES.T
-    cos = (seg[i, j] * seg[k, j]).sum(axis=1) / (length[i, j] * length[k, j])
+    flat_seg = seg.reshape(-1, 3)
+    flat_len = length.reshape(-1)
+    cos = ((flat_seg.take(_TRIPLE_IJ, axis=0) * flat_seg.take(_TRIPLE_KJ, axis=0)).sum(axis=1)
+           / (flat_len.take(_TRIPLE_IJ) * flat_len.take(_TRIPLE_KJ)))
     return seg, length, cos
 
 
@@ -175,7 +185,7 @@ def relations(centroids: np.ndarray, present: np.ndarray) -> tuple[np.ndarray, n
     rows = np.asarray(present, dtype=bool)
     m[1:][rows] = np.asarray(centroids, dtype=np.float64)[rows]
     _, length, cos = relation_geometry(m)
-    return length[PAIRS[:, 0], PAIRS[:, 1]], cos
+    return length.reshape(-1).take(_PAIR_AT), cos
 
 
 @dataclass(frozen=True)
@@ -207,6 +217,13 @@ class ShapeStats:
     Class arrays are indexed by class id, pair arrays by PAIRS row and
     triple arrays by TRIPLES row; entries never observed are nan with
     n = 0. Stds are population (divide-by-n) values.
+
+    Construction copies every array into a read-only one of the same dtype
+    and values, and derives from them the masks the losses read: the
+    usable classes (n >= 1), the volume-scored classes (usable, with a
+    finite std > 0) and the scorable pairs and triples (std > 0 and a
+    finite mean). The masks are not constructor arguments, so
+    ``dataclasses.replace`` derives them again.
     """
 
     volume_mean: np.ndarray  # (8,)
@@ -221,9 +238,28 @@ class ShapeStats:
     triple_std: np.ndarray  # (105,)
     triple_n: np.ndarray  # (105,) int
     n_cases: int
+    usable: np.ndarray = field(init=False, repr=False, compare=False)  # (8,) bool
+    volume_scored: np.ndarray = field(init=False, repr=False, compare=False)  # (8,) bool
+    pair_scorable: np.ndarray = field(init=False, repr=False, compare=False)  # (21,) bool
+    triple_scorable: np.ndarray = field(init=False, repr=False, compare=False)  # (105,) bool
+
+    def __post_init__(self) -> None:
+        def frozen(name, value):
+            value = np.array(value)  # a copy, so the caller's array cannot move it
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+        for f in fields(self):
+            if f.init and f.name != "n_cases":
+                frozen(f.name, getattr(self, f.name))
+        frozen("usable", self.class_n >= 1)
+        frozen("volume_scored", self.usable & np.isfinite(self.volume_std)
+               & (self.volume_std > 0.0))
+        frozen("pair_scorable", (self.pair_std > 0.0) & np.isfinite(self.pair_mean))
+        frozen("triple_scorable", (self.triple_std > 0.0) & np.isfinite(self.triple_mean))
 
     def class_usable(self, c: int) -> bool:
-        return int(self.class_n[c]) >= 1
+        return bool(self.usable[c])
 
 
 def _column_stats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -225,6 +225,14 @@ def _flat_inputs(cases: list[tuple[Volume3, Volume3]], atlas: HeatmapAtlas | Non
     return flats, None if atlas is None else atlas.heatmaps.reshape(N_CLASSES, -1)
 
 
+def _aux_eval(W_aux, flat, cfg: TrainConfig, aux_target, need_grad):
+    """The auxiliary head's weighted MSE term and its weight gradient (None value-only)."""
+    resid = W_aux @ flat - aux_target
+    term = cfg.aux_weight * float((resid * resid).mean())
+    grad = (2.0 * cfg.aux_weight / resid.size) * (resid @ flat.T) if need_grad else None
+    return term, grad
+
+
 def _case_eval(W, W_aux, flat, g, cfg: TrainConfig, aux_target, need_grad):
     """Objective value, per-term map, and weight gradients for one case.
 
@@ -236,12 +244,9 @@ def _case_eval(W, W_aux, flat, g, cfg: TrainConfig, aux_target, need_grad):
     terms = dict(ev.terms)
     grad_aux = None
     if W_aux is not None:
-        resid = W_aux @ flat - aux_target
-        aux_mse = float((resid * resid).mean())
-        value += cfg.aux_weight * aux_mse
-        terms["aux_mse"] = cfg.aux_weight * aux_mse
-        if need_grad:
-            grad_aux = (2.0 * cfg.aux_weight / resid.size) * (resid @ flat.T)
+        aux_term, grad_aux = _aux_eval(W_aux, flat, cfg, aux_target, need_grad)
+        value += aux_term
+        terms["aux_mse"] = aux_term
     return value, terms, ev.grad, grad_aux
 
 
@@ -351,14 +356,11 @@ def save_trace_csv(trace: list[dict[str, float]], path: str | os.PathLike) -> No
 # Weight-space finite-difference verification
 
 
-def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
-    """FD check of the full training objective on a 2-case 8-cube fixture.
+def _weight_check_fixture(seed: int):
+    """The 2-case 8-cube fixture of ``weight_gradcheck``.
 
-    The fixture enables every loss component plus the auxiliary head, with
-    random nonzero weights so no gradient path sits at a symmetric point.
-    The central difference is taken term by term (each ``terms`` entry of
-    each case, aux_mse included) and then summed. Relative error uses
-    denominator max(|analytic|, |fd|, 1e-8), as in ``losses.gradcheck``.
+    Returns the weights W and W_aux, each case's flat features and labels,
+    the TrainConfig and the aux target.
     """
     rng = np.random.default_rng(seed)
     grid = FovSpec((8, 8, 8), 2.0)
@@ -409,17 +411,48 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
         0.5 * (descs[0].triple_cosine + descs[1].triple_cosine) + 0.02, 2.0,
     )
     cfg = TrainConfig(loss=LossConfig(stats=stats), aux_weight=0.5, atlas=atlas, epochs=1)
+    return W, W_aux, flats, [lab for _, lab in cases], cfg, aux_target
 
-    def case_evals(need_grad):
-        return [_case_eval(W, W_aux, flats[i], cases[i][1], cfg, aux_target, need_grad)
-                for i in range(2)]
 
-    analytic = sum(np.concatenate([r[2].ravel(), r[3].ravel()]) for r in case_evals(True)) / 2.0
-    # The objective is the mean over the 2 cases, so each term enters halved.
-    report, worst = _central_differences(
-        [W, W_aux], analytic,
-        lambda: [t / 2.0 for r in case_evals(False) for t in r[1].values()], step,
-    )
+def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
+    """FD check of the full training objective on a 2-case 8-cube fixture.
+
+    The fixture enables every loss component plus the auxiliary head, with
+    random nonzero weights so no gradient path sits at a symmetric point.
+    The central difference is taken term by term (each ``terms`` entry of
+    each case, aux_mse included) and then summed. Relative error uses
+    denominator max(|analytic|, |fd|, 1e-8), as in ``losses.gradcheck``.
+
+    The main head's terms depend on W alone, and W keeps its bytes while
+    the entries of W_aux are stepped, so they are evaluated again only
+    when W's bytes change; the aux term is evaluated every time. Every
+    term enters the difference as if both heads ran on every evaluation.
+    """
+    W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(seed)
+    analytic = sum(
+        np.concatenate([r[2].ravel(), r[3].ravel()])
+        for r in (_case_eval(W, W_aux, flats[i], labels[i], cfg, aux_target, True)
+                  for i in range(2))
+    ) / 2.0
+
+    main_key, main_terms = None, None
+
+    def terms():
+        # The objective is the mean over the 2 cases, so each term enters halved.
+        nonlocal main_key, main_terms
+        key = W.tobytes()
+        if key != main_key:
+            main_key = key
+            main_terms = [[t / 2.0 for t in total_loss(W, labels[i], cfg.loss, need_grad=False,
+                                                       features=flats[i]).terms.values()]
+                          for i in range(2)]
+        out = []
+        for i in range(2):
+            out += main_terms[i]
+            out.append(_aux_eval(W_aux, flats[i], cfg, aux_target, False)[0] / 2.0)
+        return out
+
+    report, worst = _central_differences([W, W_aux], analytic, terms, step)
     head, entry = divmod(worst, W.size)
     where = ["aux" if head else "main"] + [int(i) for i in np.unravel_index(entry, W.shape)]
     return {"seed": seed, **report, "argmax": where}

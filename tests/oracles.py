@@ -401,6 +401,69 @@ def untiled_case_objective(W, flat, labels, weights, stats, W_aux=None, aux_weig
     return sum(terms.values()), terms, grad_w, grad_aux
 
 
+def fancy_index_relation_geometry(centroids):
+    """relation_geometry by 2-D fancy indexing and np.linalg.norm: (seg, length, cos)."""
+    from cardioprior.stats import MIN_SEGMENT_MM, TRIPLES
+
+    m = np.asarray(centroids, dtype=np.float64)
+    seg = m[:, None, :] - m[None, :, :]
+    length = np.linalg.norm(seg, axis=2)
+    length[~(length >= MIN_SEGMENT_MM)] = np.nan
+    i, j, k = TRIPLES.T
+    cos = (seg[i, j] * seg[k, j]).sum(axis=1) / (length[i, j] * length[k, j])
+    return seg, length, cos
+
+
+def unmemoised_weight_gradcheck(seed, step=1e-5):
+    """weight_gradcheck with both heads evaluated on every finite difference.
+
+    The same fixture, term order and report as ``weight_gradcheck``, but
+    every evaluation runs the main head through ``total_loss`` and the
+    auxiliary head's MSE anew, and the per-entry loop and error formulas
+    are written out here.
+    """
+    from cardioprior.losses import total_loss
+    from cardioprior.trainer import _case_eval, _weight_check_fixture
+
+    W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(seed)
+
+    def terms():
+        out = []
+        for i in range(2):
+            out += [t / 2.0 for t in total_loss(W, labels[i], cfg.loss, need_grad=False,
+                                                features=flats[i]).terms.values()]
+            resid = W_aux @ flats[i] - aux_target
+            out.append(cfg.aux_weight * float((resid * resid).mean()) / 2.0)
+        return out
+
+    analytic = sum(
+        np.concatenate([r[2].ravel(), r[3].ravel()])
+        for r in [_case_eval(W, W_aux, flats[i], labels[i], cfg, aux_target, True)
+                  for i in range(2)]
+    ) / 2.0
+    fd = []
+    for arr in (W, W_aux):
+        flat = arr.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + step
+            hi = terms()
+            flat[idx] = orig - step
+            lo = terms()
+            flat[idx] = orig
+            fd.append(sum(up - down for up, down in zip(hi, lo)) / (2.0 * step))
+    fd = np.array(fd)
+    abs_err = np.abs(analytic - fd)
+    rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
+    worst = int(np.argmax(rel_err))
+    head, entry = divmod(worst, W.size)
+    return {
+        "seed": seed, "step": step, "n_entries": int(analytic.size),
+        "max_rel_err": float(rel_err[worst]), "max_abs_err": float(abs_err.max()),
+        "argmax": ["aux" if head else "main"] + [int(i) for i in np.unravel_index(entry, W.shape)],
+    }
+
+
 def central_difference(f, x, h=1e-5):
     """Per-entry central difference of scalar f at array x. Mutates a copy."""
     x = np.array(x, dtype=np.float64)

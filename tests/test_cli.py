@@ -404,6 +404,9 @@ class TestExitCodes:
         ("reference_grid", {"grid_size": [16, 16, 16], "spacing_mm": 4.0}),
         # the fixture atlas is 24^3 at 4 mm: a fractional or string size must not truncate to it
         ("reference_grid", {"grid_size": [24.9, 24, "24"], "spacing_mm": 4.0}),
+        ("reference_grid", {"grid_size": 24, "spacing_mm": 4.0}),
+        ("reference_grid", {"grid_size": [24, 24, 24], "spacing_mm": "4"}),
+        ("reference_grid", {"grid_size": [24, 24, 24], "spacing_mm": 0.0}),
     ])
     def test_inconsistent_atlas_json_is_typed_error(self, pipeline, tmp_path, capsys,
                                                     key, value):

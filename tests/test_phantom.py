@@ -1,3 +1,4 @@
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -216,3 +217,26 @@ class TestDegrade:
         _, labels = phantom_case
         with pytest.raises(UnknownMode):
             degrade(labels, "blur", 1)
+
+    @pytest.mark.parametrize("mode, magnitude", [
+        ("erode", 1.5), ("erode", -1), ("erode", None), ("dilate", "x"), ("dilate", True),
+        ("dilate", 1.0), ("drop_class", 2.5), ("drop_class", "3"), ("swap_boundary", "0.1"),
+        ("swap_boundary", True), ("swap_boundary", None), ("swap_boundary", 2.0),
+        ("swap_boundary", -0.1), ("swap_boundary", float("nan")),
+    ])
+    def test_rejects_bad_magnitude(self, mode, magnitude):
+        # erode 1.5 used to erode once, erode -1 did nothing, drop_class 2.5
+        # dropped class 2, and swap_boundary took "0.1" and True as numbers
+        with pytest.raises(InvalidParameter):
+            degrade(self.solid_cube(), mode, magnitude)
+
+    def test_valid_magnitudes_keep_their_bytes(self):
+        labels = generate(PhantomSpec(grid=FovSpec((24, 24, 24), 4.0), seed=0), 0)[1]
+        out = degrade(labels, "swap_boundary", 0.15, seed=3)
+        assert hashlib.sha256(out.data.tobytes()).hexdigest() == (
+            "6365b3d942ad18e3e9bdf46c395c0b0b97a22e64a1d8bc1c8a9b5ea4a455b9bc")
+        assert degrade(labels, "swap_boundary", np.float32(0.15), seed=3).data.tobytes() \
+            == degrade(labels, "swap_boundary", float(np.float32(0.15)), seed=3).data.tobytes()
+        for mode, magnitude in (("erode", 2), ("dilate", 1), ("drop_class", 3)):
+            assert degrade(labels, mode, np.int64(magnitude)).data.tobytes() \
+                == degrade(labels, mode, magnitude).data.tobytes()

@@ -45,6 +45,16 @@ class TestFovSpec:
         with pytest.raises(InvalidParameter):
             FovSpec(size, 6.0)
 
+    @pytest.mark.parametrize("size", [16, 16.0, None])
+    def test_rejects_size_that_is_not_a_sequence(self, size):
+        with pytest.raises(InvalidParameter):  # used to be a raw TypeError
+            FovSpec(size, 6.0)
+
+    @pytest.mark.parametrize("spacing", ["2", None, [2.0], True])
+    def test_rejects_spacing_that_is_not_a_number(self, spacing):
+        with pytest.raises(InvalidSpacing):  # "2", None, [2.0]: a raw TypeError; True: 1 mm
+            FovSpec((16, 16, 16), spacing)
+
     def test_numpy_integer_size(self):
         fov = FovSpec(tuple(np.arange(16, 19)), 6.0)
         assert fov.grid_size == (16, 17, 18)

@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import functools
+import hashlib
 import json
 import operator
 import warnings
@@ -14,6 +16,7 @@ from cardioprior import (
     N_CLASSES,
     FovSpec,
     InvalidStats,
+    LossConfig,
     PhantomSpec,
     ProbVolume,
     RigidTransform,
@@ -24,6 +27,7 @@ from cardioprior import (
     generate,
     load_stats,
     one_hot,
+    relation_loss,
     relations,
     save_stats,
     soft_centroid,
@@ -31,10 +35,14 @@ from cardioprior import (
     soft_second_moment,
     soft_volume,
 )
-from cardioprior.stats import MASS_EPSILON, PAIRS, TRIPLES, SoftMoments, grid_basis
+from cardioprior._version import __version__
+from cardioprior.stats import (
+    MASS_EPSILON, MIN_SEGMENT_MM, PAIRS, TRIPLES, SoftMoments, grid_basis, relation_geometry,
+)
 from conftest import label_volume
 from oracles import (
-    brute_soft_centroid, brute_soft_second_moment, per_row_soft_moments, soft_blob_case,
+    brute_soft_centroid, brute_soft_second_moment, dense_relation_terms,
+    fancy_index_relation_geometry, per_row_soft_moments, soft_blob_case,
 )
 
 
@@ -249,6 +257,152 @@ class TestRelations:
         d1, c1 = relations(T.apply(pts), present)
         assert (np.abs(d1 - d0) < 1e-9).all()
         assert (np.abs(c1 - c0) < 1e-9).all()
+
+
+class TestRelationGeometry:
+    """The flat-index gathers give the bytes of the 2-D fancy-index and norm formula."""
+
+    def assert_same(self, centroids):
+        got = relation_geometry(centroids)
+        want = fancy_index_relation_geometry(centroids)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        present = np.isfinite(centroids[1:, 0])
+        dist, cos = relations(centroids[1:], present)
+        assert np.array_equal(dist, want[1][PAIRS[:, 0], PAIRS[:, 1]], equal_nan=True)
+        assert np.array_equal(cos, want[2], equal_nan=True)
+        return got
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_centroids(self, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.uniform(-60.0, 60.0, (N_CLASSES, 3)) + rng.uniform(-1e4, 1e4, 3)
+        _, length, cos = self.assert_same(m)
+        assert np.isfinite(cos).all() and np.isnan(np.diag(length)).all()
+
+    def test_absent_class(self, rng):
+        m = rng.uniform(-30.0, 30.0, (N_CLASSES, 3))
+        m[3] = np.nan
+        _, length, cos = self.assert_same(m)
+        assert np.isnan(length[3]).all() and np.isnan(length[:, 3]).all()
+        assert np.isnan(cos[(TRIPLES == 3).any(axis=1)]).all()
+        assert np.isfinite(cos[~(TRIPLES == 3).any(axis=1)]).all()
+
+    def test_pair_below_the_floor(self, rng):
+        m = rng.uniform(-30.0, 30.0, (N_CLASSES, 3))
+        m[5] = m[2] + (0.3 * MIN_SEGMENT_MM, 0.0, 0.0)
+        _, length, cos = self.assert_same(m)
+        assert np.isnan(length[2, 5]) and np.isnan(length[5, 2])
+        assert np.isfinite(length[2, 4])
+        assert np.isnan(cos[TRIPLE_ROW[(2, 5, 4)]]) and np.isfinite(cos[TRIPLE_ROW[(2, 4, 5)]])
+
+
+def _stats_arrays(p):
+    """ShapeStats fields one z-score or so away from the descriptors of p."""
+    d = case_descriptor(p)
+    finite_pair = np.isfinite(d.pair_distance)
+    finite_triple = np.isfinite(d.triple_cosine)
+    return dict(
+        volume_mean=d.soft_volume * 1.1, volume_std=0.2 * d.soft_volume,
+        centroid_mean=d.soft_centroid + 1.0, second_moment_mean=d.second_moment * 1.1,
+        class_n=np.where(d.present, 3, 0),
+        pair_mean=d.pair_distance + 0.5, pair_std=np.where(finite_pair, 1.0, np.nan),
+        pair_n=np.where(finite_pair, 3, 0).astype(np.intp),
+        triple_mean=0.8 * d.triple_cosine, triple_std=np.where(finite_triple, 0.2, np.nan),
+        triple_n=np.where(finite_triple, 3, 0).astype(np.int32), n_cases=3,
+    )
+
+
+class TestShapeStatsCannotGoStale:
+    """Its arrays are private read-only copies, and its masks follow them."""
+
+    FIELDS = [f.name for f in dataclasses.fields(ShapeStats) if f.init and f.name != "n_cases"]
+    MASKS = ("usable", "volume_scored", "pair_scorable", "triple_scorable")
+
+    @pytest.fixture
+    def case(self):
+        return soft_blob_case(1, (9, 8, 7), (1.3, 0.8, 1.1), (-40.0, 25.0, 7.5))
+
+    def test_arrays_are_read_only(self, case):
+        stats = ShapeStats(**_stats_arrays(case))
+        for name in self.FIELDS + list(self.MASKS):
+            arr = getattr(stats, name)
+            with pytest.raises(ValueError):
+                arr.reshape(-1)[0] = 1
+            with pytest.raises(ValueError):
+                arr += 1
+
+    def test_construction_copies_the_callers_arrays(self, case):
+        src = _stats_arrays(case)
+        stats = ShapeStats(**src)
+        kept = {name: getattr(stats, name).copy() for name in self.FIELDS + list(self.MASKS)}
+        cfg = LossConfig(stats=stats)
+        before = relation_loss(case, stats, cfg, need_grad=False).value
+        for name in ("volume_std", "class_n", "pair_mean", "pair_std", "triple_std"):
+            src[name][...] = 0
+        for name in kept:
+            assert np.array_equal(getattr(stats, name), kept[name], equal_nan=True)
+        assert relation_loss(case, stats, cfg, need_grad=False).value == before
+
+    def test_replace_derives_the_masks_again(self, case):
+        stats = ShapeStats(**_stats_arrays(case))
+        row = PAIR_ROW[(2, 5)]
+        assert stats.pair_scorable[row]
+        pair_std = stats.pair_std.copy()
+        pair_std[row] = 0.0
+        skipped = dataclasses.replace(stats, pair_std=pair_std)
+        assert not skipped.pair_scorable[row]
+        assert np.array_equal(skipped.pair_scorable, stats.pair_scorable & (pair_std > 0.0))
+        assert not skipped.pair_std.flags.writeable and skipped.pair_std is not pair_std
+        got = relation_loss(case, skipped, LossConfig(stats=skipped)).terms
+        want, _ = dense_relation_terms(case, skipped)
+        full = relation_loss(case, stats, LossConfig(stats=stats)).terms
+        assert got["relation_dist"] != full["relation_dist"]
+        for key in ("relation_dist", "relation_angle"):
+            assert abs(got[key] - want[key]) <= 1e-12 * abs(want[key])
+
+    def test_masks(self):
+        stats = ShapeStats(
+            volume_mean=np.full(N_CLASSES, 5.0),
+            volume_std=np.array([1.0, 1.0, 0.0, np.inf, np.nan, 1.0, 1.0, 1.0]),
+            centroid_mean=np.zeros((N_CLASSES, 3)),
+            second_moment_mean=np.zeros((N_CLASSES, 3, 3)),
+            class_n=np.array([0, 2, 2, 2, 2, 0, 1, 1]),
+            pair_mean=np.where(np.arange(len(PAIRS)) == 0, np.nan, 1.0),
+            pair_std=np.where(np.arange(len(PAIRS)) == 1, 0.0, 1.0),
+            pair_n=np.full(len(PAIRS), 2),
+            triple_mean=np.where(np.arange(len(TRIPLES)) == 2, np.inf, 0.5),
+            triple_std=np.where(np.arange(len(TRIPLES)) == 3, np.nan, 0.1),
+            triple_n=np.full(len(TRIPLES), 2),
+            n_cases=2,
+        )
+        assert stats.usable.tolist() == [False, True, True, True, True, False, True, True]
+        assert stats.volume_scored.tolist() == [False, True, False, False, False, False, True,
+                                                True]
+        assert [stats.class_usable(c) for c in range(N_CLASSES)] == stats.usable.tolist()
+        assert np.flatnonzero(~stats.pair_scorable).tolist() == [0, 1]
+        assert np.flatnonzero(~stats.triple_scorable).tolist() == [2, 3]
+        assert "usable" not in repr(stats) and "scorable" not in repr(stats)
+
+    def test_fields_keep_dtype_and_values(self, case):
+        src = _stats_arrays(case)
+        stats = ShapeStats(**src)
+        assert len(self.FIELDS) == 11
+        for name in self.FIELDS:
+            assert getattr(stats, name).dtype == src[name].dtype
+            assert np.array_equal(getattr(stats, name), src[name], equal_nan=True)
+        assert stats.n_cases == 3 and type(stats.n_cases) is int
+
+    def test_saved_stats_keep_their_bytes(self, tmp_path):
+        grid = FovSpec((24, 24, 24), 4.0)
+        labels = [generate(PhantomSpec(grid=grid, seed=0), k)[1] for k in range(3)]
+        save_stats(aggregate([case_descriptor(one_hot(lab)) for lab in labels]),
+                   tmp_path / "s.json")
+        data = (tmp_path / "s.json").read_bytes().replace(json.dumps(__version__).encode(),
+                                                          b'"X"')
+        assert hashlib.sha256(data).hexdigest() == (
+            "7e5d68c39d42fc7316ff58e2164961cdaf9e5e1946ffe76efd703e4292392340")
 
 
 class TestCaseDescriptor:
