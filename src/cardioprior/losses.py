@@ -316,23 +316,32 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     TILE_VOXELS. ``grid`` lends dims, spacing, offset and voxel volume;
     ``labels`` is the flat uint8 ground truth when gdice_ce is enabled.
 
-    Pass 1 computes each tile's probabilities, keeps them in a tile-major
-    buffer when the gradient is wanted, and sums the reductions that the
-    components read: the class mass, each voxel's own-class probability
-    summed per class, the CE sum, and the product with the grid basis.
-    The components turn the sums into
-    their values and their gradient constants, folded into one (8, 10),
-    (8, 4) or (8, 1) coefficient matrix on the grid basis, plus the
-    gdice/CE constants at each voxel's label. Pass 2 builds each tile's
-    dL/dP from them, maps it through the softmax Jacobian in place, and
-    writes it out as dL/dP or dL/dz, or sums its product with the feature
-    tile into dL/dW. Returns (value, terms, gradient or None).
+    Pass 1 computes each tile's probabilities and sums the reductions that
+    the components read: the class mass, each voxel's own-class
+    probability summed per class, the CE sum, and the product with the
+    grid basis rows that the prior terms read (all ten with moment, the
+    four of the centroids with relation alone on tiles of up to
+    TILE_VOXELS). When the gradient is
+    wanted it keeps the probabilities in a tile-major buffer, and each
+    tile's own-class index and probability, for this call only. The
+    components turn the sums into their values and their gradient
+    constants, folded into one (8, 10), (8, 4) or (8, 1) coefficient matrix
+    on the grid basis, plus the gdice/CE constants at each voxel's label.
+    Pass 2 builds each tile's dL/dP from them, maps it through the softmax
+    Jacobian in place, and writes it out as dL/dP or dL/dz, or sums its
+    product with the feature tile into dL/dW. Returns (value, terms,
+    gradient or None).
     """
     n = (probs if probs is not None else logits if logits is not None else features).shape[1]
     tile = n if probs is not None else min(TILE_VOXELS, n)
     gd = "gdice_ce" in names
     prior = "moment" in names or "relation" in names
     grad_rows = 10 if "moment" in names else 4 if prior else 1
+    # Pass 1 sums the basis rows the terms read, four with relation alone.
+    # Over up to TILE_VOXELS voxels, the product with four rows adds in the
+    # order of the ten-row one; over more (one probability-interface tile)
+    # it need not, so such a tile takes all ten.
+    sum_rows = grad_rows if tile <= TILE_VOXELS else 10
     basis = grid_basis(grid.dims, grid.spacing) if prior else None
     by_mass = gd or "volume" in names
     if gd:
@@ -356,6 +365,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
         return at, P.reshape(-1).take(at)
 
     tiles = [(s, min(s + tile, n)) for s in range(0, n, tile)]
+    owns = []  # each tile's own-class index and probability, for pass 2
     for s, e in tiles:
         P = probabilities(s, e)
         if logits is not None:
@@ -368,13 +378,15 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
             mass = part if s == 0 else mass + part
         if gd:
             L = labels[s:e]
-            _, p_own = own_class(L, P)
+            at, p_own = own_class(L, P)
+            if need_grad:
+                owns.append((at, p_own))
             part = np.bincount(L, weights=p_own, minlength=N_CLASSES)
             hits = part if s == 0 else hits + part
             part = -float(np.log(np.maximum(p_own, CE_CLAMP)).sum())
             ce_sum = part if s == 0 else ce_sum + part
         if prior:
-            part = P @ basis[:, s:e].T
+            part = P @ basis[:sum_rows, s:e].T
             raw = part if s == 0 else raw + part
 
     coef = np.zeros((N_CLASSES, grad_rows)) if need_grad else None
@@ -400,7 +412,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
 
     grad = np.empty((N_CLASSES, n)) if weights is None else None
     scratch = np.empty(N_CLASSES * tile)
-    for s, e in tiles:
+    for i, (s, e) in enumerate(tiles):
         P = probabilities(s, e)
         G = scratch[:N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
         if grad_rows > 1:
@@ -409,7 +421,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
             G[...] = coef
         if gd:
             L = labels[s:e]
-            at, p_own = own_class(L, P)
+            at, p_own = owns[i]
             # CE contributes only at the annotated class; zero where the clamp binds
             live = p_own > CE_CLAMP
             G.reshape(-1)[at] += at_label[L] - (w["ce"] / n) * (

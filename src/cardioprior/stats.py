@@ -81,7 +81,9 @@ class SoftMoments:
     probabilities times the (N, 10) grid basis give each class's mass and
     its raw first and second moments about the grid centre; ``raw``, when
     given, is that (8, 10) product as the caller summed it, and ``p`` then
-    only lends its grid (any volume with dims, spacing and offset). ``mu``
+    only lends its grid (any volume with dims, spacing and offset). An
+    (8, 4) ``raw``, the product with the rows 1, u, v, w alone, gives the
+    mass and the centroids, and ``second_moment`` is None. ``mu``
     is the centroid relative to the grid centre and the central moment is
     M = R - mu mu^T, each entry computed once and written to both halves,
     so M is exactly symmetric.
@@ -102,11 +104,13 @@ class SoftMoments:
         mass = np.where(self.present, self.mass, np.nan)[:, None]
         first = raw[:, 1:4]
         self.mu = first / mass
-        # (sum p u_a u_b - sum p u_a * mu_b) / mass, once per pair (a, b)
-        quadratic = (raw[:, 4:] - first.take(_QA, axis=1) * self.mu.take(_QB, axis=1)) / mass
-        # take, not quadratic[:, _SYM]: that gives a strided M, and sums over
-        # a strided M add in another order
-        self.second_moment = quadratic.take(_SYM, axis=1).reshape(N_CLASSES, 3, 3)
+        self.second_moment = None
+        if raw.shape[1] > 4:
+            # (sum p u_a u_b - sum p u_a * mu_b) / mass, once per pair (a, b)
+            quadratic = (raw[:, 4:] - first.take(_QA, axis=1) * self.mu.take(_QB, axis=1)) / mass
+            # take, not quadratic[:, _SYM]: that gives a strided M, and sums
+            # over a strided M add in another order
+            self.second_moment = quadratic.take(_SYM, axis=1).reshape(N_CLASSES, 3, 3)
         centre = [o + s * ((n - 1) / 2.0) for o, s, n in zip(p.offset, p.spacing, p.dims)]
         self.centroid = self.mu + centre
 

@@ -8,12 +8,18 @@ atlas heatmaps with mean-squared error from the same features, mirroring a
 two-decoder design at desk scale. Everything stays in Float64 and every
 gradient is testable against finite differences.
 
-One case-epoch is one ``total_loss`` call over the weights and the case's
-features: the logits and their gradient are made tile by tile and never
-exist as whole grids, the probabilities are kept tile-major for the
-gradient pass, and the weight gradient is summed over the tiles. The tile
+Every per-voxel pass runs over voxel tiles of ``losses.TILE_VOXELS`` or
+writes into one buffer. ``featurize`` fills one preallocated stack, and
+takes the intensity's mean and std from a copy in the image's own memory
+order (a sum adds in memory order). One case-epoch is one ``total_loss``
+call over the weights and the case's features: the logits and their
+gradient are made tile by tile and never exist as whole grids, the
+probabilities are kept tile-major for the gradient pass, and the weight
+gradient is summed over the tiles. The auxiliary head's residual, squared
+sum and gradient are made tile by tile in the same way, and ``predict``
+writes each tile's softmax straight into the probability volume. The tile
 size is fixed, so the result does not depend on ``jobs``, which only
-spreads cases over threads.
+spreads cases (their featurization included) over threads.
 
 Weight initialization is zeros (uniform prediction), which removes
 initialization randomness from comparisons between loss configurations.
@@ -39,7 +45,8 @@ from .errors import (
     int_parameter,
 )
 from .losses import (
-    WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, softmax, total_loss,
+    TILE_VOXELS, WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, _softmax, softmax,
+    total_loss,
 )
 from .phantom import BASE_INTENSITY
 from .preprocess import FovSpec
@@ -116,21 +123,17 @@ def featurize(image: Volume3, atlas: HeatmapAtlas | None = None) -> FeatureStack
     taken of the z-scored image; a constant image gives 0. Box smoothing
     uses reflective boundaries; coordinates are 2i/(n-1) - 1 per axis (0 at
     the grid center). With an atlas, the image must already live on the
-    atlas reference grid, and the 8 heatmap values at each voxel become
-    features verbatim.
+    atlas reference grid, checked before any work, and the 8 heatmap values
+    at each voxel become features verbatim.
+
+    Every feature is written into one preallocated stack. The mean and std
+    are reduced over the float64 copy of the image in the memory order of
+    ``image.data`` (Fortran order for a volume read from disk): a sum adds
+    in memory order, so z-scoring a C-ordered copy would move their last
+    bits, and with them every trained weight.
     """
     from scipy import ndimage  # here, so that importing the package loads no scipy
 
-    img = image.data.astype(np.float64)
-    img = (img - float(img.mean())) / max(float(img.std()), 1e-12)
-    planes = [img, ndimage.uniform_filter(img, size=3, mode="reflect"),
-              ndimage.uniform_filter(img, size=5, mode="reflect")]
-    for a in range(3):
-        n = image.dims[a]
-        line = np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
-        shape = [1, 1, 1]
-        shape[a] = n
-        planes.append(np.broadcast_to(line.reshape(shape), image.dims).copy())
     if atlas is not None:
         ref = atlas.reference_grid
         if (
@@ -139,11 +142,22 @@ def featurize(image: Volume3, atlas: HeatmapAtlas | None = None) -> FeatureStack
             or not np.allclose(image.offset, ref.origin_centered_offset(), rtol=0.0, atol=1e-9)
         ):
             raise GridMismatch("image does not live on the atlas reference grid")
-        planes.extend(atlas.heatmaps[c] for c in range(N_CLASSES))
-    planes.append(np.ones(image.dims))
-    return FeatureStack(
-        np.stack(planes), feature_names(atlas is not None), image.spacing, image.offset
-    )
+    names = feature_names(atlas is not None)
+    out = np.empty((len(names),) + image.dims)
+    img = image.data.astype(np.float64)
+    np.subtract(img, float(img.mean()), out=out[0])
+    out[0] /= max(float(img.std()), 1e-12)
+    ndimage.uniform_filter(out[0], size=3, output=out[1], mode="reflect")
+    ndimage.uniform_filter(out[0], size=5, output=out[2], mode="reflect")
+    for a in range(3):
+        n = image.dims[a]
+        shape = [1, 1, 1]
+        shape[a] = n
+        out[3 + a] = (np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0).reshape(shape)
+    if atlas is not None:
+        out[6:6 + N_CLASSES] = atlas.heatmaps
+    out[-1] = 1.0
+    return FeatureStack(out, names, image.spacing, image.offset)
 
 
 @dataclass(frozen=True)
@@ -173,14 +187,16 @@ def init_model(names: tuple[str, ...], aux: bool = False) -> MicroModel:
     return MicroModel(zeros, tuple(names), zeros.copy() if aux else None)
 
 
+def _require_arity(model: MicroModel, n_features: int) -> None:
+    if n_features != model.weights.shape[1]:
+        raise ArityMismatch(f"model expects {model.weights.shape[1]} features, got {n_features}")
+
+
 def forward(
     model: MicroModel, features: FeatureStack
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-voxel logits (8, nx, ny, nz) and aux outputs when the head exists."""
-    if features.data.shape[0] != model.weights.shape[1]:
-        raise ArityMismatch(
-            f"model expects {model.weights.shape[1]} features, stack has {features.data.shape[0]}"
-        )
+    _require_arity(model, features.data.shape[0])
     flat = features.data.reshape(features.data.shape[0], -1)
     logits = (model.weights @ flat).reshape((N_CLASSES,) + features.dims)
     aux = None
@@ -216,28 +232,52 @@ class TrainConfig:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
 
 
-def _flat_inputs(cases: list[tuple[Volume3, Volume3]], atlas: HeatmapAtlas | None):
-    """Each case's features as (n_features, n_voxels), and the atlas as the aux target."""
-    flats = []
-    for img, _ in cases:
-        data = featurize(img, atlas).data
-        flats.append(data.reshape(data.shape[0], -1))
+def _flat_inputs(cases: list[tuple[Volume3, Volume3]], atlas: HeatmapAtlas | None,
+                 mapper=map):
+    """Each case's features as (n_features, n_voxels), and the atlas as the aux target.
+
+    ``mapper`` runs the featurization, in case order: ``map``, or a pool's ``map``.
+    """
+    def flat(case):
+        data = featurize(case[0], atlas).data
+        return data.reshape(data.shape[0], -1)
+
+    flats = list(mapper(flat, cases))
     return flats, None if atlas is None else atlas.heatmaps.reshape(N_CLASSES, -1)
 
 
 def _aux_eval(W_aux, flat, cfg: TrainConfig, aux_target, need_grad):
-    """The auxiliary head's weighted MSE term and its weight gradient (None value-only)."""
-    resid = W_aux @ flat - aux_target
-    term = cfg.aux_weight * float((resid * resid).mean())
-    grad = (2.0 * cfg.aux_weight / resid.size) * (resid @ flat.T) if need_grad else None
-    return term, grad
+    """The auxiliary head's weighted MSE term and its weight gradient (None value-only).
+
+    One pass over tiles of TILE_VOXELS with one (8, tile) scratch for the
+    residual W_aux @ F - target; the squared sum and the gradient sum add
+    up tile by tile. A grid of one tile runs the whole-grid operations, so
+    its bits are those of ``(r * r).mean()`` and ``r @ F.T``.
+    """
+    n = flat.shape[1]
+    tile = min(TILE_VOXELS, n)
+    scratch = np.empty(N_CLASSES * tile)
+    for s in range(0, n, tile):
+        e = min(s + tile, n)
+        r = scratch[:N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
+        np.matmul(W_aux, flat[:, s:e], out=r)
+        r -= aux_target[:, s:e]
+        part = float((r * r).sum())
+        squares = part if s == 0 else squares + part
+        if need_grad:
+            part = r @ flat[:, s:e].T
+            grad = part if s == 0 else grad + part
+    size = N_CLASSES * n
+    term = cfg.aux_weight * (squares / size)
+    return term, (2.0 * cfg.aux_weight / size) * grad if need_grad else None
 
 
 def _case_eval(W, W_aux, flat, g, cfg: TrainConfig, aux_target, need_grad):
     """Objective value, per-term map, and weight gradients for one case.
 
     The main head is one ``total_loss`` call over the weights and the
-    features, tiled; the auxiliary head is a plain full-grid pass.
+    features; the auxiliary head is one ``_aux_eval`` pass. Both run over
+    voxel tiles of TILE_VOXELS.
     """
     ev = total_loss(W, g, cfg.loss, need_grad=need_grad, features=flat)
     value = ev.value
@@ -268,11 +308,7 @@ def train(
     for img, lab in cases:
         if img.dims != dims or lab.dims != dims:
             raise GridMismatch("all training cases must share one grid")
-    flats, aux_target = _flat_inputs(cases, cfg.atlas)
-    if flats[0].shape[0] != model.weights.shape[1]:
-        raise ArityMismatch(
-            f"model expects {model.weights.shape[1]} features, got {flats[0].shape[0]}"
-        )
+    _require_arity(model, len(feature_names(cfg.atlas is not None)))
     if model.aux_weights is not None and cfg.atlas is None:
         raise InvalidParameter("auxiliary head requires an atlas to regress")
 
@@ -282,6 +318,7 @@ def train(
     trace: list[dict[str, float]] = []
     pool = ThreadPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
     with pool or nullcontext():
+        flats, aux_target = _flat_inputs(cases, cfg.atlas, pool.map if pool else map)
         for epoch in range(cfg.epochs):
             def run(i: int):
                 return _case_eval(W, W_aux, flats[i], cases[i][1], cfg, aux_target, True)
@@ -308,10 +345,21 @@ def train(
 
 
 def predict(model: MicroModel, image: Volume3, atlas: HeatmapAtlas | None = None) -> ProbVolume:
-    """Softmax class probabilities for one image."""
+    """Softmax class probabilities of the main head for one image.
+
+    The logits and their softmax are made over voxel tiles of TILE_VOXELS,
+    each written straight into the probability buffer; per voxel these are
+    the operations of ``softmax(forward(...)[0])``, so the bits are the same.
+    """
+    _require_arity(model, len(feature_names(atlas is not None)))
     feats = featurize(image, atlas)
-    logits, _ = forward(model, feats)
-    return ProbVolume(softmax(logits), image.spacing, image.offset)
+    flat = feats.data.reshape(feats.data.shape[0], -1)
+    n = flat.shape[1]
+    probs = np.empty((N_CLASSES, n))
+    for s in range(0, n, TILE_VOXELS):
+        P = probs[:, s:s + TILE_VOXELS]
+        _softmax(np.matmul(model.weights, flat[:, s:s + TILE_VOXELS], out=P), P)
+    return ProbVolume(probs.reshape((N_CLASSES,) + image.dims), image.spacing, image.offset)
 
 
 # ---------------------------------------------------------------------------

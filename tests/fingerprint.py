@@ -24,7 +24,13 @@ The artifacts:
 * ``gradcheck/<loss>/seed_<k>`` and ``gradcheck/weight/seed_<k>``: the same
   six reports at seeds 1 and 2, hashed whether or not they pass the 1e-6
   gate (some do not; see ROADMAP.md), so that the finite-difference paths
-  are compared beyond seed 0.
+  are compared beyond seed 0;
+* ``aux/train_24``: the weights of both heads and the trace CSV of an
+  aux-head ``train`` (volume config, atlas features, aux weight 0.5) at
+  24^3, 4 mm, two voxel tiles, so that the tiled auxiliary head is
+  compared over more than one tile;
+* ``predict/tail``: the probabilities of ``predict`` with a model of both
+  heads on a 23 x 19 x 29 grid, one full voxel tile and a shorter one.
 
 ``--jobs`` sets the training and CLI parallelism; no hash may depend on it.
 The file name keeps pytest from collecting this script.
@@ -116,6 +122,31 @@ def phantoms() -> dict[str, str]:
     return out
 
 
+def aux_and_tail(jobs: int) -> dict[str, str]:
+    out = {}
+    for key, grid in (("aux/train_24", cp.FovSpec((24, 24, 24), 4.0)),
+                      ("predict/tail", cp.FovSpec((23, 19, 29), 5.0))):
+        spec = cp.PhantomSpec(grid=grid, seed=1)
+        cases = [cp.generate(spec, k) for k in range(3)]
+        labels = [lab for _, lab in cases[:2]]
+        stats = cp.aggregate([cp.case_descriptor(cp.one_hot(lab)) for lab in labels])
+        atlas = cp.build_atlas(labels, grid)
+        cfg = cp.TrainConfig(
+            epochs=10, atlas=atlas, aux_weight=0.5, jobs=jobs,
+            loss=cp.LossConfig(weights=cp.experiment_weights("volume"), stats=stats),
+        )
+        model, trace = cp.train(cp.init_model(cp.feature_names(True), aux=True), cases[:2], cfg)
+        if key == "predict/tail":
+            out[key] = _sha(cp.predict(model, cases[2][0], atlas).data.tobytes())
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            cp.save_trace_csv(trace, os.path.join(tmp, "trace.csv"))
+            with open(os.path.join(tmp, "trace.csv"), "rb") as fh:
+                trace_csv = fh.read()
+        out[key] = _sha(model.weights.tobytes() + model.aux_weights.tobytes() + trace_csv)
+    return out
+
+
 def _relative(value, root: str):
     """``value`` with every path under ``root`` made relative to it."""
     if isinstance(value, str):
@@ -183,6 +214,7 @@ def main(argv=None) -> int:
         hashes.update(cli_chain(args.jobs, os.path.join(tmp, "cli")))
     hashes.update(phantoms())
     hashes.update(gradcheck_seeds())
+    hashes.update(aux_and_tail(args.jobs))
     lines = [f"{digest}  {name}" for name, digest in hashes.items()]
     lines.append(f"{_sha(chr(10).join(lines).encode('utf-8'))}  ALL")
     print("\n".join(lines))

@@ -353,6 +353,47 @@ def dense_relation_loss(p, stats):
     return terms["relation_dist"] + terms["relation_angle"], grad
 
 
+def stacked_featurize(image, atlas=None):
+    """The feature stack as one fresh array per plane, joined by ``np.stack``.
+
+    The z-score, both box filters, the coordinate ramps, the heatmaps and
+    the bias written the plain way, with no preallocated stack; the atlas
+    grid is not checked. Returns the (F, nx, ny, nz) data.
+    """
+    from scipy import ndimage
+
+    img = image.data.astype(np.float64)
+    img = (img - float(img.mean())) / max(float(img.std()), 1e-12)
+    planes = [img, ndimage.uniform_filter(img, size=3, mode="reflect"),
+              ndimage.uniform_filter(img, size=5, mode="reflect")]
+    for a in range(3):
+        n = image.dims[a]
+        line = np.zeros(n) if n == 1 else 2.0 * np.arange(n) / (n - 1) - 1.0
+        shape = [1, 1, 1]
+        shape[a] = n
+        planes.append(np.broadcast_to(line.reshape(shape), image.dims).copy())
+    if atlas is not None:
+        planes.extend(atlas.heatmaps[c] for c in range(atlas.heatmaps.shape[0]))
+    planes.append(np.ones(image.dims))
+    return np.stack(planes)
+
+
+def whole_grid_predict(model, image, atlas=None):
+    """softmax(W @ F) of the main head over the whole grid: (8, nx, ny, nz)."""
+    F = stacked_featurize(image, atlas)
+    z = model.weights @ F.reshape(F.shape[0], -1)
+    e = np.exp(z - z.max(axis=0))
+    return (e / e.sum(axis=0)).reshape((z.shape[0],) + image.dims)
+
+
+def full_grid_aux_eval(W_aux, flat, aux_weight, aux_target, need_grad):
+    """The auxiliary head's weighted MSE and its gradient in whole-grid passes."""
+    resid = W_aux @ flat - aux_target
+    term = aux_weight * float((resid * resid).mean())
+    grad = (2.0 * aux_weight / resid.size) * (resid @ flat.T) if need_grad else None
+    return term, grad
+
+
 def untiled_case_objective(W, flat, labels, weights, stats, W_aux=None, aux_weight=0.0,
                            aux_target=None):
     """One case's training objective, its terms and weight gradients, on the whole grid.
@@ -395,9 +436,8 @@ def untiled_case_objective(W, flat, labels, weights, stats, W_aux=None, aux_weig
     grad_w = (P * (G - (P * G).sum(axis=0))) @ flat.T
     grad_aux = None
     if W_aux is not None:
-        resid = W_aux @ flat - aux_target.reshape(aux_target.shape[0], -1)
-        terms["aux_mse"] = aux_weight * float((resid * resid).mean())
-        grad_aux = (2.0 * aux_weight / resid.size) * (resid @ flat.T)
+        terms["aux_mse"], grad_aux = full_grid_aux_eval(
+            W_aux, flat, aux_weight, aux_target.reshape(aux_target.shape[0], -1), True)
     return sum(terms.values()), terms, grad_w, grad_aux
 
 
@@ -432,8 +472,8 @@ def unmemoised_weight_gradcheck(seed, step=1e-5):
         for i in range(2):
             out += [t / 2.0 for t in total_loss(W, labels[i], cfg.loss, need_grad=False,
                                                 features=flats[i]).terms.values()]
-            resid = W_aux @ flats[i] - aux_target
-            out.append(cfg.aux_weight * float((resid * resid).mean()) / 2.0)
+            out.append(full_grid_aux_eval(W_aux, flats[i], cfg.aux_weight, aux_target,
+                                          False)[0] / 2.0)
         return out
 
     analytic = sum(

@@ -272,6 +272,10 @@ ORACLE_CASES = [
     (4, (8, 8, 8), (1.1, 1.1, 1.4), (1e4, -1e4, 1e4), 4),
 ]
 
+#: More voxels than one tile of total_loss, for the probability-interface
+#: losses, which take the whole grid as one tile.
+LARGE_CASE = (5, (23, 19, 29), (1.2, 1.0, 0.9), (3.0, -2.0, 1.0), None)
+
 
 def shifted_stats(p):
     """Stats a few mm and a few z-scores away from the case's own descriptors."""
@@ -311,7 +315,7 @@ class TestDenseOracles:
         assert abs(ev.value - value) <= 1e-12 * abs(value)
         assert np.abs(ev.grad - grad).max() <= 1e-12 * np.abs(grad).max()
 
-    @pytest.mark.parametrize("case", ORACLE_CASES, ids=lambda c: f"seed{c[0]}")
+    @pytest.mark.parametrize("case", ORACLE_CASES + [LARGE_CASE], ids=lambda c: f"seed{c[0]}")
     @pytest.mark.parametrize("fn", [moment_loss, relation_loss], ids=["moment", "relation"])
     def test_given_moments_change_no_bit(self, case, fn):
         # the loss builds its soft moments from its own basis sums

@@ -36,6 +36,7 @@ from cardioprior import (
     soft_volume,
 )
 from cardioprior._version import __version__
+from cardioprior.losses import TILE_VOXELS
 from cardioprior.stats import (
     MASS_EPSILON, MIN_SEGMENT_MM, PAIRS, TRIPLES, SoftMoments, grid_basis, relation_geometry,
 )
@@ -193,6 +194,32 @@ class TestSoftMoments:
                 rows = np.isnan(got.reshape(N_CLASSES, -1))
                 assert np.array_equal(rows.all(axis=1), ~present)
                 assert np.array_equal(rows.any(axis=1), ~present)
+
+    def test_centroid_rows_alone(self):
+        # the relation term reads only the centroids, from the product with
+        # the basis rows 1, u, v, w, summed over voxel tiles: on each tile
+        # the bits of the ten-row product's first four columns, and then
+        # every moment but the second with the ten-row bits
+        rng = np.random.default_rng(12)
+        for dims, spacing in (((5, 5, 5), (1.0, 1.0, 1.0)), ((23, 19, 29), (0.7, 1.1, 2.0)),
+                              ((48, 48, 48), (2.0, 2.0, 2.0))):
+            data = rng.random((N_CLASSES,) + dims)
+            data[3] = 0.0
+            p = ProbVolume(data / data.sum(axis=0), spacing, (10.0, -5.0, 2.5))
+            P = p.data.reshape(N_CLASSES, -1)
+            basis = grid_basis(dims, spacing)
+            for s in range(0, P.shape[1], TILE_VOXELS):
+                tile = slice(s, s + TILE_VOXELS)
+                raw = P[:, tile] @ basis[:4, tile].T
+                ten = np.ascontiguousarray((P[:, tile] @ basis[:, tile].T)[:, :4])
+                assert raw.tobytes() == ten.tobytes(), (dims, s)
+            raw = P @ basis.T
+            classes = np.arange(N_CLASSES) > 0
+            four = SoftMoments(p, classes, raw=np.ascontiguousarray(raw[:, :4]))
+            ten = SoftMoments(p, classes, raw=raw)
+            assert four.second_moment is None
+            for name in ("mass", "present", "mu", "centroid"):
+                assert np.array_equal(getattr(four, name), getattr(ten, name), equal_nan=True)
 
 
 class TestRelations:

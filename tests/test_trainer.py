@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -41,8 +42,13 @@ from cardioprior import (
 )
 from cardioprior.losses import TILE_VOXELS, total_loss
 from cardioprior.stats import PAIRS, TRIPLES
-from cardioprior.trainer import EXPERIMENT_WEIGHTS, _case_eval, _flat_inputs
-from oracles import unmemoised_weight_gradcheck, untiled_case_objective
+from cardioprior.trainer import (
+    EXPERIMENT_WEIGHTS, _aux_eval, _case_eval, _flat_inputs, _weight_check_fixture,
+)
+from oracles import (
+    full_grid_aux_eval, stacked_featurize, unmemoised_weight_gradcheck, untiled_case_objective,
+    whole_grid_predict,
+)
 
 BASELINE_ONLY = {k: 0.0 for k in ("volume", "moment_centroid", "moment_second",
                                   "relation_dist", "relation_angle")}
@@ -81,10 +87,16 @@ class TestFeaturize:
         base = stack.names.index("atlas_background")
         assert (stack.data[base:base + N_CLASSES] == atlas48.heatmaps).all()
 
-    def test_grid_mismatch_with_atlas(self, atlas48):
+    def test_grid_mismatch_with_atlas(self, atlas48, monkeypatch):
+        from scipy import ndimage
+
+        filtered = []
+        monkeypatch.setattr(ndimage, "uniform_filter",
+                            lambda *a, **k: filtered.append(1))
         off_grid = Volume3(np.zeros((48, 48, 48), dtype=np.float32), (2.0, 2.0, 2.0))
         with pytest.raises(GridMismatch):
             featurize(off_grid, atlas48)
+        assert filtered == []  # the grid is checked before any filtering
 
     def test_standardize_centers_intensity(self, phantom_case):
         image, _ = phantom_case
@@ -92,6 +104,109 @@ class TestFeaturize:
         plane = stack.data[stack.names.index("intensity")]
         assert abs(plane.mean()) < 1e-9
         assert plane.std() == pytest.approx(1.0, abs=1e-9)
+
+
+def read_back(tmp_path, image):
+    """``image`` written to disk and read again: a Fortran-ordered Volume3."""
+    from cardioprior import read_volume, write_volume
+
+    path = str(tmp_path / "image.mhd")
+    write_volume(image, path)
+    return read_volume(path)
+
+
+def _odd_grid():
+    """Two phantoms on a 23 x 19 x 29 grid, one full tile and a 4481-voxel
+    tail, and the atlas of their labels."""
+    spec = PhantomSpec(grid=FovSpec((23, 19, 29), 5.0), seed=1)
+    cases = [generate(spec, k) for k in range(2)]
+    return cases, build_atlas([lab for _, lab in cases], spec.grid)
+
+
+def _bytes_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestWholeGridOracles:
+    """The single-buffer and tiled paths against the whole-grid ones they replace."""
+
+    def test_featurize_equals_stacked_planes(self, phantom_case, atlas48, tmp_path):
+        image, _ = phantom_case
+        from_disk = read_back(tmp_path, image)
+        assert from_disk.data.flags.f_contiguous and not from_disk.data.flags.c_contiguous
+        for img, atlas in ((image, atlas48), (from_disk, atlas48), (from_disk, None),
+                           (const_image(), None)):
+            assert _bytes_equal(featurize(img, atlas).data, stacked_featurize(img, atlas))
+
+    def test_featurize_one_voxel_axis(self, rng):
+        for dims in ((1, 7, 5), (6, 1, 1)):
+            img = Volume3(rng.normal(100.0, 20.0, dims).astype(np.float32), (1.0, 2.0, 3.0))
+            data = featurize(img).data
+            assert _bytes_equal(data, stacked_featurize(img))
+            assert (data[3 + dims.index(1)] == 0.0).all()
+
+    def test_predict_equals_whole_grid_softmax(self, phantom_case, atlas48, tmp_path):
+        cases, atlas = _odd_grid()
+        assert divmod(int(np.prod(cases[0][0].dims)), TILE_VOXELS) == (1, 4481)
+        rng = np.random.default_rng(7)
+        names = feature_names(True)
+        for image, at, scale in ((cases[0][0], atlas, 1.0), (cases[1][0], atlas, 50.0),
+                                 (read_back(tmp_path, phantom_case[0]), atlas48, 1.0)):
+            shape = (N_CLASSES, len(names))
+            model = init_model(names, aux=True)
+            model = type(model)(scale * rng.standard_normal(shape), names,
+                                rng.standard_normal(shape))
+            assert _bytes_equal(predict(model, image, at).data,
+                                whole_grid_predict(model, image, at))
+
+    def test_aux_eval_one_tile_is_bit_equal(self):
+        W, W_aux, flats, _, cfg, aux_target = _weight_check_fixture(0)
+        assert flats[0].shape[1] <= TILE_VOXELS
+        for flat in flats:
+            for need_grad in (False, True):
+                got = _aux_eval(W_aux, flat, cfg, aux_target, need_grad)
+                want = full_grid_aux_eval(W_aux, flat, cfg.aux_weight, aux_target, need_grad)
+                assert got[0] == want[0]
+                assert (got[1] is None) == (want[1] is None)
+                if need_grad:
+                    assert _bytes_equal(got[1], want[1])
+
+    def test_aux_eval_across_tiles(self, phantom_trio):
+        flat, _, aux_target, _ = phantom_trio
+        W_aux = 0.1 * np.random.default_rng(11).standard_normal((N_CLASSES, flat.shape[0]))
+        cfg = TrainConfig(aux_weight=0.5)
+        term, grad = _aux_eval(W_aux, flat, cfg, aux_target, True)
+        want_term, want_grad = full_grid_aux_eval(W_aux, flat, 0.5, aux_target, True)
+        assert abs(term - want_term) <= 1e-14 * abs(want_term)
+        assert np.abs(grad - want_grad).max() <= 1e-14 * np.abs(want_grad).max()
+        assert _aux_eval(W_aux, flat, cfg, aux_target, False) == (term, None)
+
+    @staticmethod
+    def _peak_bytes(fn, *args):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_featurize_memory(self, phantom_case, atlas48):
+        image, _ = phantom_case
+        featurize(image, atlas48)  # scipy imported and warmed outside the trace
+        plane = 8 * image.data.size
+        n_features = len(feature_names(True))
+        assert self._peak_bytes(featurize, image, atlas48) <= (n_features + 3) * plane
+
+    def test_predict_memory(self, phantom_case, atlas48):
+        image, _ = phantom_case
+        model = init_model(feature_names(True), aux=True)
+        predict(model, image, atlas48)
+        plane = 8 * image.data.size
+        n_features = len(feature_names(True))
+        peak = self._peak_bytes(predict, model, image, atlas48)
+        assert peak <= (n_features + N_CLASSES + 2) * plane
 
 
 class TestForward:
@@ -206,14 +321,41 @@ class TestTrain:
                 made.append(kwargs.get("max_workers"))
                 super().__init__(*args, **kwargs)
 
+        featurized_on = []
+        featurize = trainer_mod.featurize
+
+        def recording(*args, **kwargs):
+            featurized_on.append(threading.current_thread() is threading.main_thread())
+            return featurize(*args, **kwargs)
+
         monkeypatch.setattr(trainer_mod, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(trainer_mod, "featurize", recording)
         cases = tiny_cases(3)
         model = init_model(feature_names(False))
         for jobs, want in ((1, []), (2, [2])):
             made.clear()
+            featurized_on.clear()
             cfg = TrainConfig(epochs=4, loss=LossConfig(weights=BASELINE_ONLY), jobs=jobs)
             train(model, cases, cfg)
             assert made == want
+            # with a pool, the cases are featurized on its threads
+            assert featurized_on == [jobs == 1] * 3
+
+    def test_checks_the_model_before_featurizing(self, monkeypatch):
+        import cardioprior.trainer as trainer_mod
+
+        calls = []
+        monkeypatch.setattr(trainer_mod, "featurize", lambda *a: calls.append(a))
+        cases = tiny_cases(2)
+        loss = LossConfig(weights=BASELINE_ONLY)
+        with pytest.raises(ArityMismatch):  # an atlas-feature model, no atlas
+            train(init_model(feature_names(True)), cases, TrainConfig(epochs=1, loss=loss))
+        with pytest.raises(InvalidParameter, match="atlas"):
+            train(init_model(feature_names(False), aux=True), cases,
+                  TrainConfig(epochs=1, loss=loss))
+        with pytest.raises(ArityMismatch):
+            predict(init_model(feature_names(True)), cases[0][0])
+        assert calls == []
 
     def test_baseline_trace_strictly_decreasing_early(self):
         spec = PhantomSpec(jitter=Jitter.none())
