@@ -31,6 +31,7 @@ component entirely. The ``terms`` map always sums to ``value``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import (
     InvalidLossConfig, InvalidParameter, NoUsableStats, NotOneHot, ShapeMismatch, UnknownLoss,
+    int_parameter,
 )
 from .stats import (
     _PAIR_AT,
@@ -62,10 +64,17 @@ EPSILON_GD = 1e-6
 #: never on --jobs. A tile's probabilities and gradient take 512 KiB each.
 TILE_VOXELS = 8192
 
+#: Bytes of the stack of perturbed copies that one batched finite-difference
+#: evaluation takes: 32 entries of a 5^3 check, 8 of an 8^3 one. Fixed, and
+#: each copy's objective has the bits of a single evaluation, so no report
+#: depends on it.
+FD_CHUNK_BYTES = 1 << 19
+
 #: Loss components: name -> (module-level function name, its weight keys).
 #: total_loss and training run the components inside _objective; the
-#: function name serves only gradcheck's per-component checks, which look
-#: it up at call time so that a wrapper on the module attribute sees them.
+#: function name serves only the analytic call of gradcheck's per-component
+#: checks, which look it up at call time so that a wrapper on the module
+#: attribute sees it. Their finite differences call _objective directly.
 COMPONENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "gdice_ce": ("gdice_ce", ("gdice", "ce")),
     "volume": ("volume_loss", ("volume",)),
@@ -136,11 +145,15 @@ class LossEval:
     terms: dict[str, float]
 
 
-def _softmax(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Softmax over axis 0 written to ``out``, which may be ``z`` itself."""
-    np.subtract(z, z.max(axis=0, keepdims=True), out=out)
+def _softmax(z: np.ndarray, out: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Softmax over the class axis written to ``out``, which may be ``z`` itself.
+
+    The class axis is the first of a tile (8, m) and the second of a stack
+    of tiles (B, 8, m); each item of a stack gets the bits of its own tile.
+    """
+    np.subtract(z, z.max(axis=axis, keepdims=True), out=out)
     np.exp(out, out=out)
-    out /= out.sum(axis=0, keepdims=True)
+    out /= out.sum(axis=axis, keepdims=True)
     return out
 
 
@@ -151,7 +164,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     result is bit-identical to that formula; ``logits`` is left unchanged.
     """
     z = np.asarray(logits, dtype=np.float64)
-    return _softmax(z, np.empty(z.shape))
+    return _softmax(z, np.empty(z.shape), 0)
 
 
 def _require_labels(g: Volume3) -> None:
@@ -168,6 +181,14 @@ def _require_same_shape(p: ProbVolume, g: Volume3) -> None:
 # ---------------------------------------------------------------------------
 # The components, each split into its value and gradient constants. The
 # reductions over P that they read are summed tile by tile in _objective.
+# The values are taken item by item over any leading axes of the
+# reductions (a stack of inputs, value only); the gradient constants only
+# for a single input.
+
+
+def _by_class(x):
+    """The class columns of ``x`` (..., 8): Python floats for one input, (B,) arrays for a stack."""
+    return x.tolist() if x.ndim == 1 else list(x.T)
 
 
 def _gdice_ce_terms(w, mass, hits, ce_sum, g_sum, n_vox, coef):
@@ -181,8 +202,8 @@ def _gdice_ce_terms(w, mass, hits, ce_sum, g_sum, n_vox, coef):
     """
     w_gd, w_ce = w["gdice"], w["ce"]
     w_c = 1.0 / (g_sum + EPSILON_GD) ** 2
-    num = float((w_c * hits).sum())
-    den = float((w_c * (mass + g_sum)).sum()) + EPSILON_GD
+    num = (w_c * hits).sum(axis=-1)
+    den = (w_c * (mass + g_sum)).sum(axis=-1) + EPSILON_GD
     gdice = 1.0 - 2.0 * num / den
     ce = ce_sum / n_vox
     at_label = None
@@ -204,7 +225,7 @@ def _volume_terms(w, stats, mass, voxel_volume, coef):
     # on every case reporting the same columns
     terms = dict.fromkeys(_VOLUME_TERMS, 0.0)
     value = 0.0
-    mass, mean, std = mass.tolist(), stats.volume_mean.tolist(), stats.volume_std.tolist()
+    mass, mean, std = _by_class(mass), stats.volume_mean.tolist(), stats.volume_std.tolist()
     for c, name in zip(FOREGROUND_CLASSES, _VOLUME_TERMS):
         if not scored[c]:
             continue
@@ -222,26 +243,24 @@ def _moment_terms(w, stats, mom, coef):
     """Squared moment distances; the gradient of class c is coef[c] on the ten basis rows."""
     w1 = w["moment_centroid"]
     w2 = w["moment_second"]
-    if not mom.present.any():
+    if not mom.present.any(axis=-1).all():
         raise NoUsableStats("moment_loss: every class lacks mass or moment statistics")
     dm = mom.centroid - stats.centroid_mean
     dM = mom.second_moment - stats.second_moment_mean
     # every class at once, with the bits of each class's dm @ dm and
-    # (dM * dM).sum(); (dm * dm).sum(axis=1) and einsum round differently
-    t1 = (w1 * (dm[:, None, :] @ dm[:, :, None])[:, 0, 0]).tolist()
-    t2 = (w2 * (dM * dM).reshape(N_CLASSES, 9).sum(axis=1)).tolist()
+    # (dM * dM).sum(); (dm * dm).sum(axis=1) and einsum round differently.
+    # An absent class adds 0.0, which leaves the sum's bits as they are.
+    t1 = w1 * (dm[..., None, :] @ dm[..., :, None])[..., 0, 0]
+    t2 = w2 * (dM * dM).reshape(*dM.shape[:-2], 9).sum(axis=-1)
+    t1, t2 = (_by_class(np.where(mom.present, t, 0.0)) for t in (t1, t2))
     present = mom.present.tolist()
     terms: dict[str, float] = {}
     value = 0.0
     for c, centroid_name, second_name in zip(FOREGROUND_CLASSES, _CENTROID_TERMS, _SECOND_TERMS):
-        if not present[c]:
-            terms[centroid_name] = 0.0
-            terms[second_name] = 0.0
-            continue
         terms[centroid_name] = t1[c]
         terms[second_name] = t2[c]
         value += t1[c] + t2[c]
-        if coef is not None:
+        if coef is not None and present[c]:
             # with d = u - mu: a dm.d + b (d^T dM d - <dM, M>), expanded in u
             a = 2.0 * w1 / mom.mass[c]
             b = 2.0 * w2 / mom.mass[c]
@@ -255,11 +274,30 @@ def _moment_terms(w, stats, mom, coef):
     return value, terms
 
 
+def _zscores(x, ok, mean, std):
+    """(x - mean) / std on the entries where ``ok``, which the items of a stack share.
+
+    The rows come out contiguous: a dot product over a strided row adds in
+    another order than over the contiguous row of a single input.
+    """
+    sel = ok if ok.ndim == 1 else ok[0]
+    return np.ascontiguousarray((x[..., sel] - mean[sel]) / std[sel])
+
+
+def _sum_of_squares(x, ok, mean, std):
+    """Each item's z @ z over its own ``ok`` entries; a stack whose items
+    disagree on ``ok`` is taken item by item."""
+    if ok.ndim > 1 and (ok != ok[0]).any():
+        return np.array([_sum_of_squares(xi, oki, mean, std) for xi, oki in zip(x, ok)])
+    z = _zscores(x, ok, mean, std)
+    return (z[..., None, :] @ z[..., :, None])[..., 0, 0]
+
+
 def _relation_terms(w, stats, mom, coef):
     """Centroid-relation z-scores; the gradient of class c is coef[c, :4] on the rows 1, u, v, w."""
     w_d = w["relation_dist"]
     w_a = w["relation_angle"]
-    if np.count_nonzero(mom.present) < 2:
+    if (np.count_nonzero(mom.present, axis=-1) < 2).any():
         raise NoUsableStats("relation_loss: fewer than two classes with usable mass and stats")
     need_grad = coef is not None
     seg, length, cos = relation_geometry(mom.mu)  # as in case_descriptor
@@ -268,35 +306,33 @@ def _relation_terms(w, stats, mom, coef):
     angle_val = 0.0
 
     if w_d > 0.0:
-        d = length.reshape(-1).take(_PAIR_AT)
+        d = length.reshape(*length.shape[:-2], -1).take(_PAIR_AT, axis=-1)
         ok = np.isfinite(d) & stats.pair_scorable
-        if ok.any():
-            d, mean, std = d[ok], stats.pair_mean[ok], stats.pair_std[ok]
-            z = (d - mean) / std
-            dist_val = w_d * float(z @ z)
-            if need_grad:
-                I, J = PAIRS[ok].T
-                dvec = seg[I, J]
-                scale = 2.0 * w_d * z / (std * d)
-                np.add.at(G, I, scale[:, None] * dvec)
-                np.add.at(G, J, -scale[:, None] * dvec)
+        dist_val = w_d * _sum_of_squares(d, ok, stats.pair_mean, stats.pair_std)
+        if need_grad and ok.any():
+            z = _zscores(d, ok, stats.pair_mean, stats.pair_std)
+            d, std = d[ok], stats.pair_std[ok]
+            I, J = PAIRS[ok].T
+            dvec = seg[I, J]
+            scale = 2.0 * w_d * z / (std * d)
+            np.add.at(G, I, scale[:, None] * dvec)
+            np.add.at(G, J, -scale[:, None] * dvec)
 
     if w_a > 0.0:
         ok = np.isfinite(cos) & stats.triple_scorable
-        if ok.any():
-            cos, mean, std = cos[ok], stats.triple_mean[ok], stats.triple_std[ok]
-            z = (cos - mean) / std
-            angle_val = w_a * float(z @ z)
-            if need_grad:
-                I, J, K = TRIPLES[ok].T
-                u, v, nu, nv = seg[I, J], seg[K, J], length[I, J], length[K, J]
-                # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
-                dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
-                dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
-                scale = (2.0 * w_a * z / std)[:, None]
-                np.add.at(G, I, scale * dc_du)
-                np.add.at(G, K, scale * dc_dv)
-                np.add.at(G, J, -scale * (dc_du + dc_dv))
+        angle_val = w_a * _sum_of_squares(cos, ok, stats.triple_mean, stats.triple_std)
+        if need_grad and ok.any():
+            z = _zscores(cos, ok, stats.triple_mean, stats.triple_std)
+            cos, std = cos[ok], stats.triple_std[ok]
+            I, J, K = TRIPLES[ok].T
+            u, v, nu, nv = seg[I, J], seg[K, J], length[I, J], length[K, J]
+            # d cos / d u = v/(|u||v|) - cos u/|u|^2, symmetric in v
+            dc_du = v / (nu * nv)[:, None] - (cos / nu**2)[:, None] * u
+            dc_dv = u / (nu * nv)[:, None] - (cos / nv**2)[:, None] * v
+            scale = (2.0 * w_a * z / std)[:, None]
+            np.add.at(G, I, scale * dc_du)
+            np.add.at(G, K, scale * dc_dv)
+            np.add.at(G, J, -scale * (dc_du + dc_dv))
 
     if need_grad:
         # G_c.(x - m_c)/mass_c = G_c.(u - mu_c)/mass_c is linear in u
@@ -315,6 +351,9 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     (8, F) times ``features`` (F, N) through the softmax, each in tiles of
     TILE_VOXELS. ``grid`` lends dims, spacing, offset and voxel volume;
     ``labels`` is the flat uint8 ground truth when gdice_ce is enabled.
+    Value-only, ``probs`` or ``logits`` may be a stack (B, 8, N) of inputs
+    on the one grid: the value and every term are then (B,) arrays, each
+    item with the bits of its own call, where one input gives Python floats.
 
     Pass 1 computes each tile's probabilities and sums the reductions that
     the components read: the class mass, each voxel's own-class
@@ -332,7 +371,9 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     product with the feature tile into dL/dW. Returns (value, terms,
     gradient or None).
     """
-    n = (probs if probs is not None else logits if logits is not None else features).shape[1]
+    source = probs if probs is not None else logits if logits is not None else features
+    n = source.shape[-1]
+    lead = source.shape[:-2]  # (B,) for a stack
     tile = n if probs is not None else min(TILE_VOXELS, n)
     gd = "gdice_ce" in names
     prior = "moment" in names or "relation" in names
@@ -344,46 +385,50 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     sum_rows = grad_rows if tile <= TILE_VOXELS else 10
     basis = grid_basis(grid.dims, grid.spacing) if prior else None
     by_mass = gd or "volume" in names
+    items = math.prod(lead)
     if gd:
         g_sum = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
         columns = np.arange(tile)
+        # a stack's items count their own-class sums in bins of their own
+        item_bins = N_CLASSES * np.arange(items)[:, None] if lead else 0
     if probs is None:
         # one tile of scratch, or every tile kept for pass 2
-        buf = np.empty(N_CLASSES * (n if need_grad else tile))
+        buf = np.empty(items * N_CLASSES * (n if need_grad else tile))
 
     def probabilities(s, e):
         if probs is not None:
             return probs
         at = N_CLASSES * s if need_grad else 0
-        return buf[at:at + N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
+        return buf[at:at + items * N_CLASSES * (e - s)].reshape(*lead, N_CLASSES, e - s)
 
     def own_class(L, P):
         """Flat index of (L[x], x) in the tile and the probability there."""
         at = L.astype(np.intp)  # widened first: a uint8 product can wrap
-        at *= P.shape[1]
-        at += columns[:P.shape[1]]
-        return at, P.reshape(-1).take(at)
+        at *= P.shape[-1]
+        at += columns[:P.shape[-1]]
+        return at, P.reshape(*lead, -1).take(at, axis=-1)
 
     tiles = [(s, min(s + tile, n)) for s in range(0, n, tile)]
     owns = []  # each tile's own-class index and probability, for pass 2
     for s, e in tiles:
         P = probabilities(s, e)
         if logits is not None:
-            _softmax(logits[:, s:e], P)
+            _softmax(logits[..., s:e], P)
         elif weights is not None:
             _softmax(np.matmul(weights, features[:, s:e], out=P), P)
         # each sum starts at its first tile's part, so one tile adds nothing
         if by_mass:
-            part = P.sum(axis=1)
+            part = P.sum(axis=-1)
             mass = part if s == 0 else mass + part
         if gd:
             L = labels[s:e]
             at, p_own = own_class(L, P)
             if need_grad:
                 owns.append((at, p_own))
-            part = np.bincount(L, weights=p_own, minlength=N_CLASSES)
+            part = np.bincount((L + item_bins).reshape(-1), weights=p_own.reshape(-1),
+                               minlength=items * N_CLASSES).reshape(*lead, N_CLASSES)
             hits = part if s == 0 else hits + part
-            part = -float(np.log(np.maximum(p_own, CE_CLAMP)).sum())
+            part = -np.log(np.maximum(p_own, CE_CLAMP)).sum(axis=-1)
             ce_sum = part if s == 0 else ce_sum + part
         if prior:
             part = P @ basis[:sum_rows, s:e].T
@@ -407,6 +452,8 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
                 part, t = fn(w, stats, mom, coef)
                 value += part
                 terms.update(t)
+    if not lead:
+        terms = {k: float(v) for k, v in terms.items()}
     if not need_grad:
         return value, terms, None
 
@@ -689,28 +736,59 @@ def gradient_errors(analytic: np.ndarray, fd: np.ndarray) -> tuple[np.ndarray, n
     return abs_err, abs_err / np.maximum(scale, 1e-8)
 
 
-def _central_differences(arrays, analytic: np.ndarray, terms, step: float) -> tuple[dict, int]:
+def _seed_and_step(seed, step) -> int:
+    """The seed of a gradient check as an int; a seed below 0, or a step
+    that is not a finite number > 0, raises InvalidParameter."""
+    seed = int_parameter(seed, "seed")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    try:
+        ok = not isinstance(step, bool) and math.isfinite(step) and step > 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameter(f"step must be a finite number > 0, got {step!r}")
+    return seed
+
+
+def _central_differences(arrays, analytic: np.ndarray, terms, step: float, *,
+                         batch=None) -> tuple[dict, int]:
     """Check ``analytic`` against central differences of the objective ``sum(terms())``.
 
     Each entry of each array is moved in place to +step and -step, then
     restored; ``analytic`` lists the gradient in that order. The terms are
     differenced one by one and then summed, so the rounding of the large
-    terms stays out of the small differences. Returns the report fields
-    every check shares and the flat index of the worst relative error.
+    terms stays out of the small differences. With ``batch``, the one
+    array of ``arrays`` is left as it is: for each chunk of its entries,
+    the copies with one entry at +step and those with it at -step are
+    stacked along a leading axis, and ``batch(stack)`` returns every
+    copy's terms as arrays along that axis. A chunk takes FD_CHUNK_BYTES
+    at most (at least one entry). Returns the report fields every check
+    shares and the flat index of the worst relative error.
     """
     fd = np.empty(analytic.size)
     k = 0
     for arr in arrays:
         flat = arr.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = terms()
-            flat[idx] = orig - step
-            lo = terms()
-            flat[idx] = orig
-            fd[k] = sum(up - down for up, down in zip(hi, lo)) / (2.0 * step)
-            k += 1
+        chunk = max(1, FD_CHUNK_BYTES // (2 * flat.nbytes)) if batch else 1
+        for s in range(0, flat.size, chunk):
+            e = min(s + chunk, flat.size)
+            if batch is None:
+                orig = flat[s]
+                flat[s] = orig + step
+                hi = terms()
+                flat[s] = orig - step
+                lo = terms()
+                flat[s] = orig
+            else:
+                c = e - s
+                stack = np.tile(flat, (2, c, 1))
+                stack[0, range(c), range(s, e)] = flat[s:e] + step
+                stack[1, range(c), range(s, e)] = flat[s:e] - step
+                out = batch(stack.reshape(2 * c, *arr.shape))
+                hi, lo = [t[:c] for t in out], [t[c:] for t in out]
+            fd[k + s:k + e] = sum(up - down for up, down in zip(hi, lo)) / (2.0 * step)
+        k += flat.size
     abs_err, rel_err = gradient_errors(analytic, fd)
     worst = int(np.argmax(rel_err))
     return {
@@ -727,22 +805,31 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
     Relative error uses denominator max(|analytic|, |fd|, 1e-8); a check
     with both gradients below that floor everywhere raises InvalidParameter.
     Returns a JSON-ready report with the max errors and their entry location.
+    The analytic gradient comes from the module-level loss function; the
+    finite differences evaluate stacks of perturbed inputs in one
+    ``_objective`` call each.
     """
     if loss_name not in GRADCHECK_LOSSES:
         raise UnknownLoss(f"unknown loss {loss_name!r}; known: {GRADCHECK_LOSSES}")
-    if size < 1 or seed < 0:
-        raise InvalidParameter(f"gradcheck needs size >= 1 and seed >= 0, got {size} and {seed}")
+    size, seed = int_parameter(size, "size"), _seed_and_step(seed, step)
+    if size < 1:
+        raise InvalidParameter(f"gradcheck needs size >= 1, got {size}")
     logits, p, g = _gradcheck_instance(size, seed, loss_name)
     stats, weights = _gradcheck_stats(loss_name, p)
     cfg = LossConfig(weights=weights, stats=stats)
     if loss_name == "total":
-        x, f = logits, lambda ng: total_loss(logits, g, cfg, need_grad=ng)
+        x, full = logits, total_loss(logits, g, cfg)
+        names, grid, source = _enabled(cfg), g, "logits"
     else:
-        x, f = p.data, lambda ng: _component(loss_name, p, g, cfg, ng)
+        x, full = p.data, _component(loss_name, p, g, cfg, True)
+        names, grid, source = (loss_name,), p, "probs"
 
-    full = f(True)
-    report, worst = _central_differences([x], full.grad.reshape(-1),
-                                         lambda: (f(False).value,), step)
+    def batch(stack):
+        inputs = {source: stack.reshape(len(stack), N_CLASSES, -1)}
+        return (_objective(names, cfg.weights, stats, grid, g.data.reshape(-1),
+                           need_grad=False, **inputs)[0],)
+
+    report, worst = _central_differences([x], full.grad.reshape(-1), None, step, batch=batch)
     return {"loss": loss_name, "size": size, "seed": seed, "value": full.value, **report,
             "argmax": [int(i) for i in np.unravel_index(worst, x.shape)]}
 

@@ -86,7 +86,8 @@ class SoftMoments:
     mass and the centroids, and ``second_moment`` is None. ``mu``
     is the centroid relative to the grid centre and the central moment is
     M = R - mu mu^T, each entry computed once and written to both halves,
-    so M is exactly symmetric.
+    so M is exactly symmetric. A ``raw`` with leading axes, (B, 8, 10) for
+    a stack of inputs, gives every attribute the same leading axes.
     Taking the moments about the grid centre rather than the world origin
     bounds the cancellation error of M to about eps * |mu|^2 / ||M||,
     relative, however far the grid sits from the origin.
@@ -96,21 +97,22 @@ class SoftMoments:
                  raw: np.ndarray | None = None) -> None:
         if raw is None:
             raw = p.data.reshape(N_CLASSES, -1) @ grid_basis(p.dims, p.spacing).T
-        self.mass = raw[:, 0]
+        self.mass = raw[..., 0]
         if not (isinstance(classes, np.ndarray) and classes.dtype == bool):
             ids, classes = classes, np.zeros(N_CLASSES, dtype=bool)
             classes[list(ids)] = True
         self.present = classes & (self.mass >= MASS_EPSILON)
-        mass = np.where(self.present, self.mass, np.nan)[:, None]
-        first = raw[:, 1:4]
+        mass = np.where(self.present, self.mass, np.nan)[..., None]
+        first = raw[..., 1:4]
         self.mu = first / mass
         self.second_moment = None
-        if raw.shape[1] > 4:
+        if raw.shape[-1] > 4:
             # (sum p u_a u_b - sum p u_a * mu_b) / mass, once per pair (a, b)
-            quadratic = (raw[:, 4:] - first.take(_QA, axis=1) * self.mu.take(_QB, axis=1)) / mass
+            quadratic = (raw[..., 4:]
+                         - first.take(_QA, axis=-1) * self.mu.take(_QB, axis=-1)) / mass
             # take, not quadratic[:, _SYM]: that gives a strided M, and sums
             # over a strided M add in another order
-            self.second_moment = quadratic.take(_SYM, axis=1).reshape(N_CLASSES, 3, 3)
+            self.second_moment = quadratic.take(_SYM, axis=-1).reshape(*mass.shape[:-1], 3, 3)
         centre = [o + s * ((n - 1) / 2.0) for o, s, n in zip(p.offset, p.spacing, p.dims)]
         self.centroid = self.mu + centre
 
@@ -164,16 +166,18 @@ def relation_geometry(centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     and the cosine at vertex j of every TRIPLES row (i, j, k). A length
     below MIN_SEGMENT_MM, or touching an absent class, is nan, and so is
     every cosine that uses it: such relations are skipped, not scored.
+    Leading axes of ``centroids`` lead every result.
     """
     m = np.asarray(centroids, dtype=np.float64)
-    seg = m[:, None, :] - m[None, :, :]
-    # what np.linalg.norm(seg, axis=2) computes for real input
-    length = np.sqrt(np.add.reduce(seg * seg, axis=2))
+    lead = m.shape[:-2]
+    seg = m[..., :, None, :] - m[..., None, :, :]
+    # what np.linalg.norm(seg, axis=-1) computes for real input
+    length = np.sqrt(np.add.reduce(seg * seg, axis=-1))
     length[~(length >= MIN_SEGMENT_MM)] = np.nan
-    flat_seg = seg.reshape(-1, 3)
-    flat_len = length.reshape(-1)
-    cos = ((flat_seg.take(_TRIPLE_IJ, axis=0) * flat_seg.take(_TRIPLE_KJ, axis=0)).sum(axis=1)
-           / (flat_len.take(_TRIPLE_IJ) * flat_len.take(_TRIPLE_KJ)))
+    flat_seg = seg.reshape(*lead, -1, 3)
+    flat_len = length.reshape(*lead, -1)
+    cos = ((flat_seg.take(_TRIPLE_IJ, axis=-2) * flat_seg.take(_TRIPLE_KJ, axis=-2)).sum(axis=-1)
+           / (flat_len.take(_TRIPLE_IJ, axis=-1) * flat_len.take(_TRIPLE_KJ, axis=-1)))
     return seg, length, cos
 
 

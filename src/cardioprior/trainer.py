@@ -45,8 +45,8 @@ from .errors import (
     int_parameter,
 )
 from .losses import (
-    TILE_VOXELS, WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, _softmax, softmax,
-    total_loss,
+    TILE_VOXELS, WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, _seed_and_step,
+    _softmax, softmax, total_loss,
 )
 from .phantom import BASE_INTENSITY
 from .preprocess import FovSpec
@@ -476,6 +476,7 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     when W's bytes change; the aux term is evaluated every time. Every
     term enters the difference as if both heads ran on every evaluation.
     """
+    seed = _seed_and_step(seed, step)
     W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(seed)
     analytic = sum(
         np.concatenate([r[2].ravel(), r[3].ravel()])

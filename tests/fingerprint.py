@@ -30,7 +30,10 @@ The artifacts:
   24^3, 4 mm, two voxel tiles, so that the tiled auxiliary head is
   compared over more than one tile;
 * ``predict/tail``: the probabilities of ``predict`` with a model of both
-  heads on a 23 x 19 x 29 grid, one full voxel tile and a shorter one.
+  heads on a 23 x 19 x 29 grid, one full voxel tile and a shorter one;
+* ``gradcheck/<loss>/size_8``: the five gradcheck reports at 8^3, seed 0,
+  the configuration of acceptance criterion 1, where a chunk of stacked
+  finite differences holds fewer entries than at 5^3.
 
 ``--jobs`` sets the training and CLI parallelism; no hash may depend on it.
 The file name keeps pytest from collecting this script.
@@ -103,6 +106,11 @@ def gradcheck_seeds() -> dict[str, str]:
                                                                                  seed=seed)))
         out[f"gradcheck/weight/seed_{seed}"] = _sha(_json_bytes(cp.weight_gradcheck(seed=seed)))
     return out
+
+
+def gradcheck_size_8() -> dict[str, str]:
+    return {f"gradcheck/{loss}/size_8": _sha(_json_bytes(cp.gradcheck(loss, size=8, seed=0)))
+            for loss in cp.GRADCHECK_LOSSES}
 
 
 PHANTOM_GRIDS = {
@@ -215,6 +223,7 @@ def main(argv=None) -> int:
     hashes.update(phantoms())
     hashes.update(gradcheck_seeds())
     hashes.update(aux_and_tail(args.jobs))
+    hashes.update(gradcheck_size_8())
     lines = [f"{digest}  {name}" for name, digest in hashes.items()]
     lines.append(f"{_sha(chr(10).join(lines).encode('utf-8'))}  ALL")
     print("\n".join(lines))

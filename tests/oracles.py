@@ -504,6 +504,48 @@ def unmemoised_weight_gradcheck(seed, step=1e-5):
     }
 
 
+def per_entry_gradcheck(loss_name, size, seed, step=1e-5):
+    """gradcheck with every entry moved in place and the objective evaluated
+    once per perturbed input.
+
+    The same instance, stats, analytic gradient and report as ``gradcheck``;
+    each finite difference calls the module-level loss function value-only,
+    and the per-entry loop and error formulas are written out here.
+    """
+    from cardioprior.losses import (
+        LossConfig, _component, _gradcheck_instance, _gradcheck_stats, total_loss,
+    )
+
+    logits, p, g = _gradcheck_instance(size, seed, loss_name)
+    stats, weights = _gradcheck_stats(loss_name, p)
+    cfg = LossConfig(weights=weights, stats=stats)
+    if loss_name == "total":
+        x, f = logits, lambda need_grad: total_loss(logits, g, cfg, need_grad=need_grad)
+    else:
+        x, f = p.data, lambda need_grad: _component(loss_name, p, g, cfg, need_grad)
+    full = f(True)
+    analytic = full.grad.reshape(-1)
+    flat = x.reshape(-1)
+    fd = np.empty(flat.size)
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + step
+        hi = f(False).value
+        flat[idx] = orig - step
+        lo = f(False).value
+        flat[idx] = orig
+        fd[idx] = (hi - lo) / (2.0 * step)
+    abs_err = np.abs(analytic - fd)
+    rel_err = abs_err / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-8)
+    worst = int(np.argmax(rel_err))
+    return {
+        "loss": loss_name, "size": size, "seed": seed, "value": full.value, "step": step,
+        "n_entries": int(analytic.size), "max_rel_err": float(rel_err[worst]),
+        "max_abs_err": float(abs_err.max()),
+        "argmax": [int(i) for i in np.unravel_index(worst, x.shape)],
+    }
+
+
 def central_difference(f, x, h=1e-5):
     """Per-entry central difference of scalar f at array x. Mutates a copy."""
     x = np.array(x, dtype=np.float64)

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cardioprior.losses as losses_mod
+import cardioprior.stats as stats_mod
 from cardioprior import (
     FOREGROUND_CLASSES,
     N_CLASSES,
@@ -26,13 +28,16 @@ from cardioprior import (
     softmax,
     total_loss,
     volume_loss,
+    weight_gradcheck,
 )
 from cardioprior.losses import (
     CE_CLAMP, EPSILON_GD, _central_differences, _moment_terms, _relation_terms, gradient_errors,
 )
 from cardioprior.stats import PAIRS, TRIPLES, SoftMoments, grid_basis
 from conftest import label_volume
-from oracles import dense_gdice_ce, dense_moment_loss, dense_relation_loss, soft_blob_case
+from oracles import (
+    dense_gdice_ce, dense_moment_loss, dense_relation_loss, per_entry_gradcheck, soft_blob_case,
+)
 
 
 def stats_for(p):
@@ -580,6 +585,82 @@ class TestGradcheck:
         report, worst = _central_differences([x, y], grad, terms, 1e-5)
         assert worst == 7 and report["max_abs_err"] > 0.99
         assert [x.tobytes(), y.tobytes()] == before
+
+
+class TestBatchedFiniteDifferences:
+    """gradcheck's stacked evaluations against the per-entry in-place oracle."""
+
+    CASES = [(5, seed) for seed in range(4)] + [(8, 0)]
+
+    @pytest.mark.parametrize("chunk", ["default", "short_tail"])
+    @pytest.mark.parametrize("size, seed", CASES, ids=[f"{s}^3-seed{k}" for s, k in CASES])
+    def test_equals_per_entry_oracle(self, monkeypatch, size, seed, chunk):
+        n = N_CLASSES * size**3
+        if chunk == "short_tail":
+            # 7 entries per chunk: the last chunk holds n % 7 of them
+            monkeypatch.setattr(losses_mod, "FD_CHUNK_BYTES", 2 * 7 * 8 * n)
+            assert n % 7 != 0
+        for loss in losses_mod.GRADCHECK_LOSSES:
+            assert gradcheck(loss, size=size, seed=seed) == per_entry_gradcheck(loss, size, seed)
+
+    def test_items_that_disagree_on_the_scored_pairs(self, monkeypatch):
+        # A segment floor at one pair's measured length: moving an entry
+        # lengthens that segment in some copies of a chunk and shortens it
+        # in others, so the rows disagree on whether the pair scores.
+        _, p, _ = losses_mod._gradcheck_instance(5, 0, "relation")
+        floor = float(case_descriptor(p).pair_distance[0])
+        monkeypatch.setattr(stats_mod, "MIN_SEGMENT_MM", floor)
+        mixed = []
+        sum_of_squares = losses_mod._sum_of_squares
+
+        def recording(x, ok, mean, std):
+            mixed.append(ok.ndim > 1 and bool((ok != ok[0]).any()))
+            return sum_of_squares(x, ok, mean, std)
+
+        monkeypatch.setattr(losses_mod, "_sum_of_squares", recording)
+        report = gradcheck("relation", size=5, seed=0)
+        assert any(mixed)
+        monkeypatch.setattr(losses_mod, "_sum_of_squares", sum_of_squares)
+        assert report == per_entry_gradcheck("relation", 5, 0)
+
+    @pytest.mark.parametrize("loss, fn", [("relation", "relation_loss"), ("total", "total_loss")])
+    def test_planted_error_fails_the_gate(self, monkeypatch, loss, fn):
+        exact = getattr(losses_mod, fn)
+        planted = []
+
+        def off_by_1e4(*args, **kwargs):
+            ev = exact(*args, **kwargs)
+            if ev.grad is not None:
+                grad = ev.grad.copy()
+                at = np.unravel_index(np.argmax(np.abs(grad)), grad.shape)
+                grad[at] *= 1.0 + 1e-4
+                planted.append([int(i) for i in at])
+                ev = losses_mod.LossEval(ev.value, grad, ev.terms)
+            return ev
+
+        monkeypatch.setattr(losses_mod, fn, off_by_1e4)
+        report = gradcheck(loss, size=5, seed=0)
+        assert len(planted) == 1
+        assert report["max_rel_err"] >= 1e-6
+        assert report["argmax"] == planted[0]
+
+
+class TestGradcheckInputs:
+    @pytest.mark.parametrize("kwargs", [{"size": 2.5}, {"size": True}, {"seed": 1.5},
+                                        {"seed": -1}, {"step": 0.0}, {"step": float("nan")},
+                                        {"step": -1e-5}],
+                             ids=["size-float", "size-bool", "seed-float", "seed-negative",
+                                  "step-zero", "step-nan", "step-negative"])
+    def test_gradcheck_rejects_bad_input(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            gradcheck("volume", **{"size": 3, **kwargs})
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"step": 0.0},
+                                        {"step": float("inf")}],
+                             ids=["seed-negative", "seed-float", "step-zero", "step-inf"])
+    def test_weight_gradcheck_rejects_bad_input(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            weight_gradcheck(**kwargs)
 
 
 # per-class term names used across the tests above

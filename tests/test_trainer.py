@@ -484,10 +484,12 @@ class TestTiledObjective:
         tiles = []
         softmax = losses_mod._softmax
 
-        def counting(z, out):
-            if z.ndim == 2:  # a tile; the public softmax takes whole grids
-                tiles.append(z.shape[1])
-            return softmax(z, out)
+        def counting(z, out, axis=-2):
+            # a tile (8, m) or a stack of tiles (B, 8, m), counted by its
+            # voxels; the public softmax takes whole grids, on axis 0
+            if axis == -2:
+                tiles.append(z.shape[-1])
+            return softmax(z, out, axis)
 
         monkeypatch.setattr(losses_mod, "TILE_VOXELS", 64)
         monkeypatch.setattr(losses_mod, "_softmax", counting)
