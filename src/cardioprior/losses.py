@@ -64,9 +64,10 @@ EPSILON_GD = 1e-6
 #: never on --jobs. A tile's probabilities and gradient take 512 KiB each.
 TILE_VOXELS = 8192
 
-#: Bytes of the stack of perturbed copies that one batched finite-difference
-#: evaluation takes: 32 entries of a 5^3 check, 8 of an 8^3 one. Fixed, and
-#: each copy's objective has the bits of a single evaluation, so no report
+#: Bytes of the (8, N) float64 probabilities that the stack of perturbed
+#: copies of one batched finite-difference evaluation makes: 32 entries of a
+#: 5^3 check, 8 of an 8^3 one and of weight_gradcheck. Fixed, and each
+#: copy's objective has the bits of a single evaluation, so no report
 #: depends on it.
 FD_CHUNK_BYTES = 1 << 19
 
@@ -352,8 +353,9 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     TILE_VOXELS. ``grid`` lends dims, spacing, offset and voxel volume;
     ``labels`` is the flat uint8 ground truth when gdice_ce is enabled.
     Value-only, ``probs`` or ``logits`` may be a stack (B, 8, N) of inputs
-    on the one grid: the value and every term are then (B,) arrays, each
-    item with the bits of its own call, where one input gives Python floats.
+    on the one grid, or ``weights`` a stack (B, 8, F) over the one
+    ``features``: the value and every term are then (B,) arrays, each item
+    with the bits of its own call, where one input gives Python floats.
 
     Pass 1 computes each tile's probabilities and sums the reductions that
     the components read: the class mass, each voxel's own-class
@@ -373,7 +375,7 @@ def _objective(names, w, stats, grid, labels, *, need_grad, probs=None, logits=N
     """
     source = probs if probs is not None else logits if logits is not None else features
     n = source.shape[-1]
-    lead = source.shape[:-2]  # (B,) for a stack
+    lead = (source if weights is None else weights).shape[:-2]  # (B,) for a stack
     tile = n if probs is not None else min(TILE_VOXELS, n)
     gd = "gdice_ce" in names
     prior = "moment" in names or "relation" in names
@@ -751,43 +753,37 @@ def _seed_and_step(seed, step) -> int:
     return seed
 
 
-def _central_differences(arrays, analytic: np.ndarray, terms, step: float, *,
-                         batch=None) -> tuple[dict, int]:
-    """Check ``analytic`` against central differences of the objective ``sum(terms())``.
+def _central_differences(inputs, analytic: np.ndarray, step: float,
+                         voxels: int) -> tuple[dict, int]:
+    """Check ``analytic`` against central differences of an objective given by its terms.
 
-    Each entry of each array is moved in place to +step and -step, then
-    restored; ``analytic`` lists the gradient in that order. The terms are
-    differenced one by one and then summed, so the rounding of the large
-    terms stays out of the small differences. With ``batch``, the one
-    array of ``arrays`` is left as it is: for each chunk of its entries,
-    the copies with one entry at +step and those with it at -step are
-    stacked along a leading axis, and ``batch(stack)`` returns every
-    copy's terms as arrays along that axis. A chunk takes FD_CHUNK_BYTES
-    at most (at least one entry). Returns the report fields every check
-    shares and the flat index of the worst relative error.
+    ``inputs`` pairs each array with the batch evaluator of its copies, and
+    ``analytic`` lists the gradient over the arrays' entries in that order.
+    The arrays keep their bytes: for each chunk of an array's entries, the
+    copies with one entry at +step and those with it at -step are stacked
+    along a leading axis, and ``batch(stack)`` returns every term of the
+    objective at each copy, the other arrays unmoved, as a (B,) array. The
+    terms are differenced one by one and then summed, so the rounding of
+    the large terms stays out of the small differences. A copy counts as
+    the (8, voxels) float64 probabilities its evaluation makes, and a chunk
+    takes FD_CHUNK_BYTES of them at most (at least one entry). Returns the
+    report fields every check shares and the flat index of the worst
+    relative error.
     """
     fd = np.empty(analytic.size)
+    copy_bytes = N_CLASSES * voxels * 8  # one copy's (8, voxels) float64 probabilities
+    chunk = max(1, FD_CHUNK_BYTES // (2 * copy_bytes))
     k = 0
-    for arr in arrays:
+    for arr, batch in inputs:
         flat = arr.reshape(-1)
-        chunk = max(1, FD_CHUNK_BYTES // (2 * flat.nbytes)) if batch else 1
         for s in range(0, flat.size, chunk):
             e = min(s + chunk, flat.size)
-            if batch is None:
-                orig = flat[s]
-                flat[s] = orig + step
-                hi = terms()
-                flat[s] = orig - step
-                lo = terms()
-                flat[s] = orig
-            else:
-                c = e - s
-                stack = np.tile(flat, (2, c, 1))
-                stack[0, range(c), range(s, e)] = flat[s:e] + step
-                stack[1, range(c), range(s, e)] = flat[s:e] - step
-                out = batch(stack.reshape(2 * c, *arr.shape))
-                hi, lo = [t[:c] for t in out], [t[c:] for t in out]
-            fd[k + s:k + e] = sum(up - down for up, down in zip(hi, lo)) / (2.0 * step)
+            c = e - s
+            stack = np.tile(flat, (2, c, 1))
+            stack[0, range(c), range(s, e)] = flat[s:e] + step
+            stack[1, range(c), range(s, e)] = flat[s:e] - step
+            out = batch(stack.reshape(2 * c, *arr.shape))
+            fd[k + s:k + e] = sum(t[:c] - t[c:] for t in out) / (2.0 * step)
         k += flat.size
     abs_err, rel_err = gradient_errors(analytic, fd)
     worst = int(np.argmax(rel_err))
@@ -829,7 +825,7 @@ def gradcheck(loss_name: str, size: int = 8, seed: int = 0, step: float = 1e-5) 
         return (_objective(names, cfg.weights, stats, grid, g.data.reshape(-1),
                            need_grad=False, **inputs)[0],)
 
-    report, worst = _central_differences([x], full.grad.reshape(-1), None, step, batch=batch)
+    report, worst = _central_differences([(x, batch)], full.grad.reshape(-1), step, g.data.size)
     return {"loss": loss_name, "size": size, "seed": seed, "value": full.value, **report,
             "argmax": [int(i) for i in np.unravel_index(worst, x.shape)]}
 

@@ -27,6 +27,7 @@ initialization randomness from comparisons between loss configurations.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -45,8 +46,8 @@ from .errors import (
     int_parameter,
 )
 from .losses import (
-    TILE_VOXELS, WEIGHT_KEYS, LossConfig, _central_differences, _fixture_stats, _seed_and_step,
-    _softmax, softmax, total_loss,
+    TILE_VOXELS, WEIGHT_KEYS, LossConfig, _central_differences, _enabled, _fixture_stats,
+    _objective, _seed_and_step, _softmax, softmax, total_loss,
 )
 from .phantom import BASE_INTENSITY
 from .preprocess import FovSpec
@@ -69,10 +70,14 @@ _ATLAS_FEATURES = tuple(f"atlas_{name}" for name in CLASS_NAMES)
 #: The regularizers integrate over voxels while gdice/ce normalize by voxel
 #: count, so their raw gradients run 1e5-1e6 times the baseline's at the
 #: uniform init; the weights below bring each term's gradient to a stable
-#: fraction of the baseline's along the whole trajectory. The angle term
-#: gets a token weight only: triple cosines are invariant under the
-#: phantom's rigid jitter, so their population stds are degenerate (1e-6)
-#: and any effective weight destabilizes early training.
+#: fraction of the baseline's along the whole trajectory. The angle weight
+#: is tiny but not a token: triple cosines are invariant under the phantom's
+#: rigid jitter, so their population stds are tiny too (the smallest is
+#: 2.8e-6 on the 48^3 experiment) and the z-scores large. There, with 15
+#: training cases and 200 epochs, the angle term reads 0.0012 at epoch 1 and
+#: 0.0147 at epoch 2, while the objective rises from 2.517 to 2.757, and it
+#: adds about +0.10 to +0.14 held-out macro Dice over the distance-only
+#: prior.
 EXPERIMENT_WEIGHTS: dict[str, dict[str, float]] = {
     "baseline": {},
     "volume": {"volume": 1e-5},
@@ -252,17 +257,21 @@ def _aux_eval(W_aux, flat, cfg: TrainConfig, aux_target, need_grad):
     One pass over tiles of TILE_VOXELS with one (8, tile) scratch for the
     residual W_aux @ F - target; the squared sum and the gradient sum add
     up tile by tile. A grid of one tile runs the whole-grid operations, so
-    its bits are those of ``(r * r).mean()`` and ``r @ F.T``.
+    its bits are those of ``(r * r).mean()`` and ``r @ F.T``. Value-only,
+    ``W_aux`` may be a stack (B, 8, F) of weights: the term is then a (B,)
+    array, each item with the bits of its own call.
     """
     n = flat.shape[1]
     tile = min(TILE_VOXELS, n)
-    scratch = np.empty(N_CLASSES * tile)
+    lead = W_aux.shape[:-2]  # (B,) for a stack
+    rows = math.prod(lead) * N_CLASSES
+    scratch = np.empty(rows * tile)
     for s in range(0, n, tile):
         e = min(s + tile, n)
-        r = scratch[:N_CLASSES * (e - s)].reshape(N_CLASSES, e - s)
+        r = scratch[:rows * (e - s)].reshape(*lead, N_CLASSES, e - s)
         np.matmul(W_aux, flat[:, s:e], out=r)
         r -= aux_target[:, s:e]
-        part = float((r * r).sum())
+        part = (r * r).reshape(*lead, -1).sum(axis=-1) if lead else float((r * r).sum())
         squares = part if s == 0 else squares + part
         if need_grad:
             part = r @ flat[:, s:e].T
@@ -471,10 +480,13 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
     each case, aux_mse included) and then summed. Relative error uses
     denominator max(|analytic|, |fd|, 1e-8), as in ``losses.gradcheck``.
 
-    The main head's terms depend on W alone, and W keeps its bytes while
-    the entries of W_aux are stepped, so they are evaluated again only
-    when W's bytes change; the aux term is evaluated every time. Every
-    term enters the difference as if both heads ran on every evaluation.
+    The finite differences run through the batch harness of
+    ``losses.gradcheck``: each chunk of perturbed copies of W is one
+    value-only ``_objective`` call per case, and each chunk of copies of
+    W_aux one ``_aux_eval`` call, each copy with the bits of its own call.
+    The head a chunk does not move is evaluated once per case, at its
+    unmoved weights, and its terms are broadcast over the stack, so their
+    differences are exactly 0.0.
     """
     seed = _seed_and_step(seed, step)
     W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(seed)
@@ -483,25 +495,32 @@ def weight_gradcheck(seed: int = 0, step: float = 1e-5) -> dict:
         for r in (_case_eval(W, W_aux, flats[i], labels[i], cfg, aux_target, True)
                   for i in range(2))
     ) / 2.0
+    names = _enabled(cfg.loss)
 
-    main_key, main_terms = None, None
+    # The objective is the mean over the 2 cases, so each term enters halved.
+    def main_terms(i, weights):
+        terms = _objective(names, cfg.loss.weights, cfg.loss.stats, labels[i],
+                           labels[i].data.reshape(-1), need_grad=False, weights=weights,
+                           features=flats[i])[1]
+        return [t / 2.0 for t in terms.values()]
 
-    def terms():
-        # The objective is the mean over the 2 cases, so each term enters halved.
-        nonlocal main_key, main_terms
-        key = W.tobytes()
-        if key != main_key:
-            main_key = key
-            main_terms = [[t / 2.0 for t in total_loss(W, labels[i], cfg.loss, need_grad=False,
-                                                       features=flats[i]).terms.values()]
-                          for i in range(2)]
+    def aux_term(i, weights):
+        return _aux_eval(weights, flats[i], cfg, aux_target, False)[0] / 2.0
+
+    unmoved = [(main_terms(i, W), aux_term(i, W_aux)) for i in range(2)]
+
+    def stacked_terms(stack, moved):
         out = []
-        for i in range(2):
-            out += main_terms[i]
-            out.append(_aux_eval(W_aux, flats[i], cfg, aux_target, False)[0] / 2.0)
+        for i, (main, aux) in enumerate(unmoved):
+            if moved == "main":
+                out += main_terms(i, stack) + [np.full(len(stack), aux)]
+            else:
+                out += [np.full(len(stack), t) for t in main] + [aux_term(i, stack)]
         return out
 
-    report, worst = _central_differences([W, W_aux], analytic, terms, step)
+    report, worst = _central_differences(
+        [(W, lambda stack: stacked_terms(stack, "main")),
+         (W_aux, lambda stack: stacked_terms(stack, "aux"))], analytic, step, flats[0].shape[1])
     head, entry = divmod(worst, W.size)
     where = ["aux" if head else "main"] + [int(i) for i in np.unravel_index(entry, W.shape)]
     return {"seed": seed, **report, "argmax": where}

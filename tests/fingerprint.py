@@ -33,7 +33,11 @@ The artifacts:
   heads on a 23 x 19 x 29 grid, one full voxel tile and a shorter one;
 * ``gradcheck/<loss>/size_8``: the five gradcheck reports at 8^3, seed 0,
   the configuration of acceptance criterion 1, where a chunk of stacked
-  finite differences holds fewer entries than at 5^3.
+  finite differences holds fewer entries than at 5^3;
+* ``gradcheck/weight/seed_<k>`` for seeds 3-8: the ``weight_gradcheck``
+  reports at the further seeds that the test suite compares with the
+  per-entry oracle. These lines come last, so that the lines before them
+  are those of the script without them.
 
 ``--jobs`` sets the training and CLI parallelism; no hash may depend on it.
 The file name keeps pytest from collecting this script.
@@ -111,6 +115,11 @@ def gradcheck_seeds() -> dict[str, str]:
 def gradcheck_size_8() -> dict[str, str]:
     return {f"gradcheck/{loss}/size_8": _sha(_json_bytes(cp.gradcheck(loss, size=8, seed=0)))
             for loss in cp.GRADCHECK_LOSSES}
+
+
+def weight_gradcheck_seeds() -> dict[str, str]:
+    return {f"gradcheck/weight/seed_{seed}": _sha(_json_bytes(cp.weight_gradcheck(seed=seed)))
+            for seed in range(3, 9)}
 
 
 PHANTOM_GRIDS = {
@@ -224,6 +233,7 @@ def main(argv=None) -> int:
     hashes.update(gradcheck_seeds())
     hashes.update(aux_and_tail(args.jobs))
     hashes.update(gradcheck_size_8())
+    hashes.update(weight_gradcheck_seeds())
     lines = [f"{digest}  {name}" for name, digest in hashes.items()]
     lines.append(f"{_sha(chr(10).join(lines).encode('utf-8'))}  ALL")
     print("\n".join(lines))

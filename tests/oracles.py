@@ -454,26 +454,32 @@ def fancy_index_relation_geometry(centroids):
     return seg, length, cos
 
 
-def unmemoised_weight_gradcheck(seed, step=1e-5):
+def unmemoised_weight_gradcheck(seed, step=1e-5, tiled_aux=False):
     """weight_gradcheck with both heads evaluated on every finite difference.
 
     The same fixture, term order and report as ``weight_gradcheck``, but
-    every evaluation runs the main head through ``total_loss`` and the
-    auxiliary head's MSE anew, and the per-entry loop and error formulas
-    are written out here.
+    each entry is moved in place, every evaluation runs the main head
+    through ``total_loss`` and the auxiliary head's MSE anew, one copy at
+    a time, and the per-entry loop and error formulas are written out here.
+    The aux MSE is taken in whole-grid passes, or with ``tiled_aux`` by the
+    trainer's tiled ``_aux_eval``, whose bits differ on more than one tile.
     """
     from cardioprior.losses import total_loss
-    from cardioprior.trainer import _case_eval, _weight_check_fixture
+    from cardioprior.trainer import _aux_eval, _case_eval, _weight_check_fixture
 
     W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(seed)
+
+    def aux_mse(flat):
+        if tiled_aux:
+            return _aux_eval(W_aux, flat, cfg, aux_target, False)[0]
+        return full_grid_aux_eval(W_aux, flat, cfg.aux_weight, aux_target, False)[0]
 
     def terms():
         out = []
         for i in range(2):
             out += [t / 2.0 for t in total_loss(W, labels[i], cfg.loss, need_grad=False,
                                                 features=flats[i]).terms.values()]
-            out.append(full_grid_aux_eval(W_aux, flats[i], cfg.aux_weight, aux_target,
-                                          False)[0] / 2.0)
+            out.append(aux_mse(flats[i]) / 2.0)
         return out
 
     analytic = sum(

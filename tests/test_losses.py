@@ -565,7 +565,8 @@ class TestGradcheck:
         assert abs_err.tolist() == [0.0, 1e-8] and rel_err.tolist() == [0.0, 1.0]
 
     def test_central_differences_on_a_quadratic(self, rng):
-        # two arrays, two terms: L = x^T A x / 2 + sum(c * y^2)
+        # two arrays, two terms: L = x^T A x / 2 + sum(c * y^2); each
+        # array's evaluator takes a stack of its copies, the other unmoved
         A = rng.standard_normal((6, 6))
         A = A + A.T
         c = rng.uniform(0.5, 2.0, 4)
@@ -573,16 +574,21 @@ class TestGradcheck:
         before = [x.tobytes(), y.tobytes()]
         grad = np.concatenate([A @ x.ravel(), 2.0 * c * y])
 
-        def terms():
-            return (0.5 * x.ravel() @ A @ x.ravel(), float((c * y * y).sum()))
+        def x_terms(xs):
+            xs = xs.reshape(len(xs), -1)
+            return 0.5 * ((xs @ A) * xs).sum(axis=1), np.full(len(xs), (c * y * y).sum())
 
-        report, worst = _central_differences([x, y], grad, terms, 1e-5)
+        def y_terms(ys):
+            return np.full(len(ys), 0.5 * x.ravel() @ A @ x.ravel()), (c * ys * ys).sum(axis=1)
+
+        inputs = [(x, x_terms), (y, y_terms)]
+        report, worst = _central_differences(inputs, grad, 1e-5, 1)
         assert [x.tobytes(), y.tobytes()] == before
         assert report["step"] == 1e-5 and report["n_entries"] == 10
         assert report["max_abs_err"] < 1e-9
         assert 0 <= worst < 10
         grad[7] += 1.0  # a wrong entry of y is the worst one
-        report, worst = _central_differences([x, y], grad, terms, 1e-5)
+        report, worst = _central_differences(inputs, grad, 1e-5, 1)
         assert worst == 7 and report["max_abs_err"] > 0.99
         assert [x.tobytes(), y.tobytes()] == before
 

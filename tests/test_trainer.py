@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 
 import numpy as np
@@ -578,23 +579,103 @@ class TestWeightGradcheck:
         report = weight_gradcheck(seed=0)
         assert report["max_rel_err"] < 1e-6
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(9))
     def test_reused_main_head_gives_the_same_report(self, seed):
-        # seed 1 fails the 1e-6 gate (see ROADMAP.md); its report must still be the same
+        # seeds 1, 3, 6, 7 and 8 fail the 1e-6 gate (see ROADMAP.md); their
+        # reports must still be the same
         assert weight_gradcheck(seed=seed) == unmemoised_weight_gradcheck(seed)
 
-    def test_main_head_runs_once_per_distinct_weights(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacks_equal_per_entry_evaluations_across_tiles(self, monkeypatch, seed):
+        import cardioprior.losses as losses_mod
         import cardioprior.trainer as trainer
 
-        calls = []
+        # 8^3 voxels are 8 tiles in both heads; the stacked aux sums add up
+        # tile by tile, as the tiled single evaluation does
+        monkeypatch.setattr(losses_mod, "TILE_VOXELS", 64)
+        monkeypatch.setattr(trainer, "TILE_VOXELS", 64)
+        assert weight_gradcheck(seed=seed) == unmemoised_weight_gradcheck(seed, tiled_aux=True)
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs["need_grad"])
-            return total_loss(*args, **kwargs)
+    @pytest.mark.parametrize("tile", [None, 64], ids=["one_tile", "tiles_of_64"])
+    def test_stacked_heads_keep_each_copys_bits(self, monkeypatch, tile):
+        import cardioprior.losses as losses_mod
+        import cardioprior.trainer as trainer
 
-        monkeypatch.setattr(trainer, "total_loss", counted)
+        if tile:
+            monkeypatch.setattr(losses_mod, "TILE_VOXELS", tile)
+            monkeypatch.setattr(trainer, "TILE_VOXELS", tile)
+        W, W_aux, flats, labels, cfg, aux_target = _weight_check_fixture(0)
+        jitter = 1e-3 * np.random.default_rng(3).standard_normal((5,) + W.shape)
+        names = losses_mod._enabled(cfg.loss)
+        for flat, lab in zip(flats, labels):
+            _, terms, _ = losses_mod._objective(
+                names, cfg.loss.weights, cfg.loss.stats, lab, lab.data.reshape(-1),
+                need_grad=False, weights=W + jitter, features=flat)
+            aux = _aux_eval(W_aux + jitter, flat, cfg, aux_target, False)[0]
+            for b in range(len(jitter)):
+                one = total_loss(W + jitter[b], lab, cfg.loss, need_grad=False, features=flat)
+                assert [t[b] for t in terms.values()] == list(one.terms.values())
+                assert aux[b] == _aux_eval(W_aux + jitter[b], flat, cfg, aux_target, False)[0]
+
+    def test_main_head_runs_once_per_distinct_weights(self, monkeypatch):
+        import cardioprior.losses as losses_mod
+        import cardioprior.trainer as trainer
+
+        # (need_grad, copies evaluated) of every call, per head
+        calls = {"main": [], "aux": []}
+        objective, aux_eval = losses_mod._objective, trainer._aux_eval
+
+        def counted_objective(*args, **kwargs):
+            calls["main"].append((kwargs["need_grad"], math.prod(kwargs["weights"].shape[:-2])))
+            return objective(*args, **kwargs)
+
+        def counted_aux_eval(W_aux, *args):
+            calls["aux"].append((args[-1], math.prod(W_aux.shape[:-2])))
+            return aux_eval(W_aux, *args)
+
+        monkeypatch.setattr(losses_mod, "_objective", counted_objective)
+        monkeypatch.setattr(trainer, "_objective", counted_objective)
+        monkeypatch.setattr(trainer, "_aux_eval", counted_aux_eval)
         report = weight_gradcheck(seed=0)
-        n_main = report["n_entries"] // 2
-        # the analytic pass, two steps per entry of W, and the unmoved W once more
-        assert calls.count(True) == 2
-        assert calls.count(False) == 2 * (2 * n_main + 1)
+        n_head = report["n_entries"] // 2
+        for head, counted in calls.items():
+            # the analytic pass, and the unmoved weights value-only, once per case
+            assert [n for need_grad, n in counted if need_grad] == [1, 1], head
+            assert [n for need_grad, n in counted if not need_grad].count(1) == 2, head
+            # per case, two copies per entry of the head, in stacks of 8 entries
+            stacks = [n for need_grad, n in counted if not need_grad and n > 1]
+            assert sum(stacks) == 2 * 2 * n_head and max(stacks) == 16, head
+
+    @pytest.mark.parametrize("head", ["main", "aux"])
+    def test_planted_error_fails_the_gate(self, monkeypatch, head):
+        import cardioprior.trainer as trainer
+
+        exact = trainer._case_eval
+        planted = []
+
+        def off_by_1e4(*args):
+            value, terms, grad, grad_aux = exact(*args)
+            if args[-1]:
+                grads = {"main": grad.copy(), "aux": grad_aux.copy()}
+                wrong = grads[head]
+                if not planted:  # the first case's largest entry, in both cases
+                    planted.append(np.unravel_index(np.argmax(np.abs(wrong)), wrong.shape))
+                wrong[planted[0]] *= 1.0 + 1e-4
+                grad, grad_aux = grads["main"], grads["aux"]
+            return value, terms, grad, grad_aux
+
+        monkeypatch.setattr(trainer, "_case_eval", off_by_1e4)
+        report = weight_gradcheck(seed=0)
+        assert report["max_rel_err"] >= 1e-6
+        assert report["argmax"] == [head, *[int(i) for i in planted[0]]]
+
+    def test_chunk_stays_inside_its_memory_budget(self):
+        from cardioprior.losses import FD_CHUNK_BYTES
+
+        _, _, flats, _, _, aux_target = _weight_check_fixture(0)
+        fixture = sum(f.nbytes for f in flats) + aux_target.nbytes
+        weight_gradcheck(seed=0)  # caches warmed outside the trace
+        # a chunk's stack makes FD_CHUNK_BYTES of probabilities in the main
+        # head, and as much of residuals and of their squares in the aux head
+        peak = TestWholeGridOracles._peak_bytes(weight_gradcheck, 0)
+        assert peak <= 4 * FD_CHUNK_BYTES + fixture
